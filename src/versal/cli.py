@@ -9,6 +9,7 @@ exit code is 0 exactly when every internal check passed.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -276,9 +277,22 @@ def _build_parser():
     return parser
 
 
+def _attach_lambda_values(argv):
+    # argparse takes a value such as "-1.0,0.0" or "-2e-3" for an option
+    # string, so "--lambda VALUE" (or an abbreviation such as "--lam VALUE")
+    # is passed on as "--lambda=VALUE"
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if (len(out[i]) > 2 and "--lambda".startswith(out[i])
+                and re.match(r"-\.?\d", out[i + 1])):
+            out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_lambda_values(argv))
     try:
         return args.func(args)
     except VersalError as exc:

@@ -160,10 +160,12 @@ def transport_perturbation(structure, replacement_eigenvalues, values,
     relabeled = SegreStructure(
         [(replacements[i], sizes) for i, (_, sizes) in enumerate(structure.blocks)])
 
-    filled = _filled_values(arnold_pattern(structure), values)
+    pattern = arnold_pattern(structure)
+    filled = _filled_values(pattern, values)
     results = []
-    for base in (structure, relabeled):
-        perturbed = instantiate(arnold_pattern(base), filled)
+    for base, base_pattern in ((structure, pattern),
+                               (relabeled, arnold_pattern(relabeled))):
+        perturbed = instantiate(base_pattern, filled)
         if len(base.blocks) > 1:
             threshold = cluster_tol * max(1.0, frobenius_norm(perturbed))
             _check_group_separation(perturbed, base, threshold)

@@ -31,10 +31,10 @@ def _validated_blocks(blocks, descending):
             raise ValueError("every eigenvalue needs at least one block")
         if any(k <= 0 for k in sizes):
             raise ValueError(f"block sizes must be positive, got {sizes}")
-        if descending and any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-            raise ValueError(f"block sizes must be descending, got {sizes}")
-        if not descending and any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-            raise ValueError(f"Weyr entries must be weakly decreasing, got {sizes}")
+        if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
+            raise ValueError(
+                f"block sizes must be descending, got {sizes}" if descending
+                else f"Weyr entries must be weakly decreasing, got {sizes}")
         normalized.append((complex(eig), sizes))
     if not normalized:
         raise ValueError("structure needs at least one eigenvalue")

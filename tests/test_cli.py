@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from versal import SegreStructure, build_jcf, files
 from versal.cli import main
@@ -179,6 +180,24 @@ class TestReduceBlockCommand:
         capsys.readouterr()
         deformed = files.load_matrix(tmp_path / "d.json")
         assert np.array_equal(deformed, jordan_block(3, lam))
+
+    @pytest.mark.parametrize("option, text, lam", [
+        ("--lambda", "-1.0,0.0", -1.0), ("--lambda", "-1e-3", -1e-3),
+        ("--lam", "-.5+2j", -0.5 + 2j)])
+    def test_negative_lambda_spaced_like_attached(self, tmp_path, capsys,
+                                                  option, text, lam):
+        e = np.array([[3e-3, -2e-3], [1e-3, 4e-3]], dtype=complex)
+        path = write_matrix(tmp_path, jordan_block(2, lam) + e)
+        outs = ["--out-deformed", str(tmp_path / "d.json"),
+                "--out-transform", str(tmp_path / "t.json")]
+        runs = []
+        for lam_args in ([option, text], [f"--lambda={text}"]):
+            assert main(["reduce-block", path, *lam_args, *outs]) == 0
+            runs.append((capsys.readouterr().out,
+                         (tmp_path / "d.json").read_bytes(),
+                         (tmp_path / "t.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert "PASS" in runs[0][0]
 
     def test_random_small_perturbation(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

@@ -1,13 +1,19 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from versal import (DimensionMismatch, MaxIterationsExceeded, MonicPolynomial,
                     SingularTransform, StagnationDetected, companion,
-                    eigenvalues, frobenius_norm, recover, solve_linear, split)
+                    eigenvalues, frobenius_norm, linearization, recover,
+                    solve_linear, split)
 
 from conftest import eigen_match_distance, random_complex
+
+# every (d, n) up to the linearization order cap
+SHAPES = [(d, n) for d in range(1, linearization.MAX_ORDER + 1)
+          for n in range(1, linearization.MAX_ORDER // d + 1)]
 
 
 def random_polynomial(rng, d, n):
@@ -191,3 +197,52 @@ class TestRecover:
         carried = solve_linear(result.transform, (c + e1) @ result.transform)
         assert frobenius_norm(carried - companion(result.recovered)) <= \
             1e-10 * frobenius_norm(c + e1)
+
+
+def kron_commutator_step(m, unstructured, d, n):
+    """Dense oracle for the commutator step.
+
+    Minimum-norm ``X`` with ``(X @ m - m @ X)^u = -unstructured``, solved on
+    the column-major vectorization: the ``(dn)^2 x (dn)^2`` Kronecker matrix
+    restricted to the rows of unstructured entries.
+    """
+    big = d * n
+    eye = np.eye(big)
+    full = np.kron(m.T, eye) - np.kron(eye, m)
+    keep = (np.arange(big * big) % big) >= n
+    rhs = -unstructured.flatten(order="F")
+    x, *_ = np.linalg.lstsq(full[keep], rhs[keep],
+                            rcond=linearization.COMMUTATOR_RCOND)
+    return x.reshape((big, big), order="F")
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_structured_step_matches_kron_oracle(d, n):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=3, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1),
+                      log_norm=st.floats(-6.0, -2.0))
+    def check(seed, log_norm):
+        rng = np.random.default_rng(seed)
+        p = MonicPolynomial([random_complex(rng, n, n) for _ in range(d)])
+        c = companion(p)
+        e1 = random_perturbation(rng, d * n, 10.0 ** log_norm * frobenius_norm(c))
+        structured, unstructured = split(e1, d, n)
+        m = c + structured
+
+        x = linearization._solve_commutator_step(m, unstructured, d, n)
+        oracle = kron_commutator_step(m, unstructured, d, n)
+        assert np.linalg.norm(x - oracle) <= 1e-9 * np.linalg.norm(oracle)
+        assert np.linalg.norm(x) <= (1 + 1e-12) * np.linalg.norm(oracle)
+        residual = split(x @ m - m @ x, d, n)[1] + unstructured
+        assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(unstructured)
+
+        iterations = recover(p, e1).iterations
+        with mock.patch.object(linearization, "_solve_commutator_step",
+                               kron_commutator_step):
+            assert recover(p, e1).iterations == iterations
+
+    check()
