@@ -6,7 +6,7 @@ class VersalError(Exception):
 
 
 class SingularMatrix(VersalError):
-    """A dense solve met a pivot below the singularity threshold."""
+    """A dense solve met a matrix singular to within the solve threshold."""
 
 
 class NoConvergence(VersalError):

@@ -8,14 +8,12 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NoConvergence, SingularMatrix
 
-# Relative pivot threshold below which a dense solve is declared singular.
+# Relative threshold on the smallest singular value below which a dense solve
+# is declared singular.
 SINGULAR_TOL = 1e-14
 
 # Default relative cutoff for numerical-rank decisions.
@@ -47,7 +45,7 @@ def frobenius_norm(m):
 
 
 def solve_linear(a, b):
-    """Solve ``a @ x = b`` by row-pivoted LU elimination.
+    """Solve ``a @ x = b`` for a square, numerically nonsingular ``a``.
 
     Parameters
     ----------
@@ -58,7 +56,8 @@ def solve_linear(a, b):
     Raises
     ------
     SingularMatrix
-        If any pivot modulus falls below ``SINGULAR_TOL * ||a||_F``.
+        If the smallest singular value of ``a`` falls below
+        ``SINGULAR_TOL * ||a||_F``.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -69,16 +68,15 @@ def solve_linear(a, b):
     scale = float(np.linalg.norm(a))
     if scale == 0.0:
         raise SingularMatrix("coefficient matrix is zero")
-    with warnings.catch_warnings():
-        # the explicit pivot check below supersedes scipy's singularity warning
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(a, check_finite=False)
-    smallest = float(np.abs(np.diagonal(lu)).min())
+    # gate on sigma_min, not on elimination pivots: a small pivot implies a
+    # small sigma_min, but a triangular matrix with unit pivots can still be
+    # singular to working precision
+    smallest = float(np.linalg.svd(a, compute_uv=False)[-1])
     if smallest < SINGULAR_TOL * scale:
         raise SingularMatrix(
-            f"pivot modulus {smallest:.3e} below {SINGULAR_TOL:g}*||a||_F = "
-            f"{SINGULAR_TOL * scale:.3e}")
-    return lu_solve((lu, piv), b, check_finite=False)
+            f"smallest singular value {smallest:.3e} below "
+            f"{SINGULAR_TOL:g}*||a||_F = {SINGULAR_TOL * scale:.3e}")
+    return np.linalg.solve(a, b)
 
 
 def min_norm_least_squares(a, b, rcond=RANK_TOL):

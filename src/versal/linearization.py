@@ -189,9 +189,9 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         exc.residual_trace = tuple(trace)
         return exc
 
+    structured, unstructured = split(e, d, n)
+    residual = frobenius_norm(unstructured)
     while True:
-        structured, unstructured = split(e, d, n)
-        residual = frobenius_norm(unstructured)
         trace.append(residual)
         if residual <= tol:
             break
@@ -201,11 +201,12 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
                 f"{max_iter} sweeps"))
         x = _solve_commutator_step(c + structured, unstructured, d, n)
         try:
-            e_next = solve_linear(eye - x, e @ (eye - x) - c @ x + x @ c)
+            e = solve_linear(eye - x, e @ (eye - x) - c @ x + x @ c)
         except SingularMatrix as exc:
             raise _fail(SingularTransform(str(exc))) from exc
         s = s @ (eye - x)
-        next_residual = frobenius_norm(split(e_next, d, n)[1])
+        structured, unstructured = split(e, d, n)
+        next_residual = frobenius_norm(unstructured)
         if next_residual >= residual:
             stalled += 1
             if stalled >= 3:
@@ -214,7 +215,7 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
                     f"3 consecutive sweeps"))
         else:
             stalled = 0
-        e = e_next
+        residual = next_residual
         iterations += 1
 
     # block (1, j) of the final perturbation adds to -A_{d-1-j} in the

@@ -1,10 +1,16 @@
 """Shared test helpers: structure enumeration, oracles, random generators."""
 
 import itertools
+import os
 
-import numpy as np
+# Pin BLAS to one thread before numpy loads it: the kernels here are tiny,
+# and threaded BLAS on a machine with few cores slows the suite down.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from versal import SegreStructure
+import numpy as np  # noqa: E402
+
+from versal import SegreStructure  # noqa: E402
 
 # Fixed eigenvalue pool, already in lexicographic (real, imag) order.
 EIGENVALUE_POOL = (0.0 + 0.0j, 1.0 + 0.0j, 2.0 + 1.0j)

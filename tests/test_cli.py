@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import versal
 from versal import SegreStructure, build_jcf, files
 from versal.cli import main
 from versal.jordan import jordan_block
@@ -20,6 +24,20 @@ def write_matrix(tmp_path, m, name="m.json"):
     path = tmp_path / name
     files.save_document(path, files.matrix_document(m))
     return str(path)
+
+
+def test_import_pulls_in_no_scipy():
+    # every versal command pays its imports at start-up, and scipy.linalg
+    # alone would be most of that time
+    src = str(Path(versal.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, versal, versal.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestCodimCommand:

@@ -79,6 +79,21 @@ class TestSolveLinear:
         with pytest.raises(ValueError):
             solve_linear(np.eye(2), np.eye(3))
 
+    def test_unit_pivots_singular_values_decide(self):
+        # I - triu(ones, 1) has every LU pivot equal to 1, but its smallest
+        # singular value decays like 2^-n: 2.7e-12 at n = 40, above the
+        # threshold 2.9e-13, and 2.7e-15 at n = 50, below 3.6e-13
+        def unit_upper(n):
+            return np.eye(n) - np.triu(np.ones((n, n)), 1)
+
+        rng = np.random.default_rng(13)
+        a = unit_upper(40)
+        b = random_complex(rng, 40, 2)
+        x = solve_linear(a, b)
+        assert frobenius_norm(a @ x - b) <= 1e-14 * frobenius_norm(a) * frobenius_norm(x)
+        with pytest.raises(SingularMatrix, match="singular value"):
+            solve_linear(unit_upper(50), random_complex(rng, 50, 2))
+
 
 class TestMinNormLeastSquares:
     def test_identity(self):
