@@ -10,7 +10,7 @@ which Jordan structure the perturbed matrix actually has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .codimension import bundle_codim, orbit_codim
@@ -163,9 +163,9 @@ def transport_perturbation(structure, replacement_eigenvalues, values,
     pattern = arnold_pattern(structure)
     filled = _filled_values(pattern, values)
     results = []
-    for base, base_pattern in ((structure, pattern),
-                               (relabeled, arnold_pattern(relabeled))):
-        perturbed = instantiate(base_pattern, filled)
+    for base in (structure, relabeled):
+        # Arnold stars depend only on the block sizes, which relabeling keeps
+        perturbed = instantiate(replace(pattern, base=base), filled)
         if len(base.blocks) > 1:
             threshold = cluster_tol * max(1.0, frobenius_norm(perturbed))
             _check_group_separation(perturbed, base, threshold)

@@ -21,15 +21,26 @@ def _pairs(matrix):
     return [[float(z.real), float(z.imag)] for z in matrix.ravel()]
 
 
-def _field(doc, name, kind):
+_JSON_TYPES = {int: "an integer", list: "an array", dict: "an object"}
+
+
+def _field(doc, name, kind, expected):
     if name not in doc:
         raise ValueError(f"'{kind}' document is missing field '{name}'")
-    return doc[name]
+    return _typed(doc[name], expected, f"field '{name}'")
+
+
+def _typed(value, expected, context):
+    # bool is an int subclass; a float such as 1.9 is rejected, not truncated
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ValueError(f"{context}: expected {_JSON_TYPES[expected]}, got {value!r}")
+    return value
 
 
 def _complex_pair(value, context):
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in value)):
         raise ValueError(f"{context}: expected a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
 
@@ -42,11 +53,11 @@ def matrix_document(m):
 
 def parse_matrix(doc):
     _expect_kind(doc, "matrix")
-    rows = int(_field(doc, "rows", "matrix"))
-    cols = int(_field(doc, "cols", "matrix"))
+    rows = _field(doc, "rows", "matrix", int)
+    cols = _field(doc, "cols", "matrix", int)
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    entries = _field(doc, "entries", "matrix")
+    entries = _field(doc, "entries", "matrix", list)
     if len(entries) != rows * cols:
         raise ValueError(
             f"field 'entries': expected {rows * cols} pairs, got {len(entries)}")
@@ -66,9 +77,10 @@ def segre_document(structure):
 def parse_segre(doc):
     _expect_kind(doc, "segre")
     blocks = []
-    for i, block in enumerate(_field(doc, "blocks", "segre")):
-        eig = _complex_pair(_field(block, "eigenvalue", "segre"), f"block {i}")
-        sizes = _field(block, "sizes", "segre")
+    for i, block in enumerate(_field(doc, "blocks", "segre", list)):
+        block = _typed(block, dict, f"block {i}")
+        eig = _complex_pair(_field(block, "eigenvalue", "segre", list), f"block {i}")
+        sizes = _field(block, "sizes", "segre", list)
         blocks.append((eig, sizes))
     return SegreStructure(blocks)
 
@@ -84,14 +96,18 @@ def polynomial_document(poly):
 
 def parse_polynomial(doc):
     _expect_kind(doc, "polynomial")
-    degree = int(_field(doc, "degree", "polynomial"))
-    size = int(_field(doc, "size", "polynomial"))
-    raw = _field(doc, "coefficients", "polynomial")
+    degree = _field(doc, "degree", "polynomial", int)
+    size = _field(doc, "size", "polynomial", int)
+    raw = _field(doc, "coefficients", "polynomial", list)
+    if degree < 1 or size < 1:
+        raise ValueError(
+            f"polynomial degree and size must be positive, got {degree} and {size}")
     if len(raw) != degree:
         raise ValueError(
             f"field 'coefficients': expected {degree} matrices, got {len(raw)}")
     coefficients = []
     for j, entries in enumerate(raw):
+        entries = _typed(entries, list, f"coefficient {j}")
         if len(entries) != size * size:
             raise ValueError(
                 f"coefficient {j}: expected {size * size} pairs, got {len(entries)}")

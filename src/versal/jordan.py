@@ -8,6 +8,8 @@ using eigenvalue clustering followed by rank counts of shifted powers.
 
 from __future__ import annotations
 
+import cmath
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +25,23 @@ DEFAULT_RANK_TOL = 1e-8
 MAX_RECOVERY_ORDER = 16
 
 
+def _block_size(k):
+    # 2.7 and "3" are rejected, not converted; bool is an int subclass
+    try:
+        if not isinstance(k, bool):
+            return operator.index(k)
+    except TypeError:
+        pass
+    raise ValueError(f"block sizes must be integers, got {k!r}")
+
+
 def _validated_blocks(blocks, descending):
     normalized = []
     for eig, sizes in blocks:
-        sizes = tuple(int(k) for k in sizes)
+        eig = complex(eig)
+        if not cmath.isfinite(eig):
+            raise ValueError(f"eigenvalues must be finite, got {eig}")
+        sizes = tuple(_block_size(k) for k in sizes)
         if not sizes:
             raise ValueError("every eigenvalue needs at least one block")
         if any(k <= 0 for k in sizes):
@@ -35,7 +50,7 @@ def _validated_blocks(blocks, descending):
             raise ValueError(
                 f"block sizes must be descending, got {sizes}" if descending
                 else f"Weyr entries must be weakly decreasing, got {sizes}")
-        normalized.append((complex(eig), sizes))
+        normalized.append((eig, sizes))
     if not normalized:
         raise ValueError("structure needs at least one eigenvalue")
     values = [eig for eig, _ in normalized]
@@ -48,8 +63,9 @@ def _validated_blocks(blocks, descending):
 class SegreStructure:
     """Jordan type: ``blocks`` is a tuple of ``(eigenvalue, sizes)`` pairs.
 
-    Eigenvalues are pairwise distinct and each ``sizes`` tuple is a
-    descending partition of that eigenvalue's algebraic multiplicity.
+    Eigenvalues are finite and pairwise distinct, and each ``sizes`` tuple is
+    a descending partition of that eigenvalue's algebraic multiplicity into
+    integers; anything else raises ``ValueError``.
     """
 
     blocks: tuple
@@ -180,26 +196,24 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
     for cluster in clusters:
         mu = complex(np.mean(cluster))
         mult = len(cluster)
-        shifted = m - mu * eye
-        scale = float(np.linalg.norm(shifted, 2))
+        power = shifted = m - mu * eye
         weyr = []
-        power = eye
         prev_rank = n
-        covered = 0
         for j in range(1, mult + 1):
-            power = power @ shifted
             singular = np.linalg.svd(power, compute_uv=False)
+            if j == 1:
+                scale = float(singular[0])  # ||m - mu*I||_2
             rank = int(np.count_nonzero(singular > rank_tol * scale ** j))
             step = prev_rank - rank
             if step <= 0:
                 break
             weyr.append(step)
-            covered += step
             prev_rank = rank
-            if covered >= mult:
+            if sum(weyr) >= mult:
                 break
+            power = power @ shifted
         decreasing = all(weyr[i] >= weyr[i + 1] for i in range(len(weyr) - 1))
-        if covered != mult or not decreasing:
+        if sum(weyr) != mult or not decreasing:
             raise InconsistentRanks(
                 f"rank sequence near {mu:.6g} yields Weyr {tuple(weyr)} for "
                 f"multiplicity {mult}; tolerances do not fit this input")

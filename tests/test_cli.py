@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -239,3 +240,61 @@ class TestJcfCommand:
         matrix = files.load_matrix(out)
         assert np.array_equal(matrix,
                               build_jcf(SegreStructure([(0.0, [2]), (1.0, [1])])))
+
+
+def segre_doc(eigenvalue=(0.0, 0.0), sizes=(2,)):
+    return {"kind": "segre",
+            "blocks": [{"eigenvalue": eigenvalue, "sizes": sizes}]}
+
+
+def matrix_doc(rows=1, cols=1, entries=((0.5, 0.0),)):
+    return {"kind": "matrix", "rows": rows, "cols": cols, "entries": entries}
+
+
+def poly_doc(degree=1, size=1, coefficients=(((0.5, 0.0),),)):
+    return {"kind": "polynomial", "degree": degree, "size": size,
+            "coefficients": coefficients}
+
+
+MALFORMED = [
+    ("jcf", {"kind": "segre", "blocks": 5}, "blocks"),
+    ("jcf", {"kind": "segre", "blocks": [5]}, "block 0"),
+    ("jcf", segre_doc(sizes=2), "sizes"),
+    ("jcf", segre_doc(sizes=[2.7]), "integers"),
+    ("jcf", segre_doc(sizes=[True]), "integers"),
+    ("jcf", segre_doc(eigenvalue=[float("nan"), 0.0]), "finite"),
+    ("reduce-block", matrix_doc(rows=None), "rows"),
+    ("reduce-block", matrix_doc(rows=1.9), "rows"),
+    ("reduce-block", matrix_doc(cols=1.0), "cols"),
+    ("reduce-block", matrix_doc(entries=5), "entries"),
+    ("recover", poly_doc(degree=1.5), "degree"),
+    ("recover", poly_doc(size=True), "size"),
+    ("recover", poly_doc(size=-1), "size"),
+    ("recover", poly_doc(coefficients=5), "coefficients"),
+    ("recover", poly_doc(coefficients=[5]), "coefficient 0"),
+]
+
+
+def run_document(tmp_path, command, doc):
+    # json.dumps writes NaN, which Python's json module also reads back
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--random-seed", "1"] if command == "recover" else []
+    return main([command, str(path), *extra])
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("command, doc, field", MALFORMED)
+    def test_wrong_type_exits_2(self, tmp_path, capsys, command, doc, field):
+        assert run_document(tmp_path, command, doc) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command, doc", [
+        ("jcf", segre_doc()), ("reduce-block", matrix_doc()),
+        ("recover", poly_doc())])
+    def test_well_formed_documents_load(self, tmp_path, capsys, command, doc):
+        assert run_document(tmp_path, command, doc) == 0

@@ -29,6 +29,27 @@ class TestSegreStructure:
         assert s == SegreStructure([(0, (3, 1)), (2 + 1j, (2,))])
         assert s.partitions() == ((3, 1), (2,))
 
+    @pytest.mark.parametrize("sizes", [[2.7, 1], [2.0], ["3"], [True], [2, None]])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="integers"):
+            SegreStructure([(0.0, sizes)])
+
+    def test_accepts_numpy_integer_sizes(self):
+        s = SegreStructure([(0.0, np.array([3, 1]))])
+        assert s.partitions() == ((3, 1),)
+        assert all(type(k) is int for k in s.partitions()[0])
+
+    @pytest.mark.parametrize("blocks", [
+        [(float("nan"), [2])],
+        [(float("inf"), [2])],
+        [(complex(0.0, float("-inf")), [2])],
+        # NaN != NaN, so two of them would pass the distinctness check
+        [(float("nan"), [1]), (float("nan"), [1])],
+    ])
+    def test_rejects_non_finite_eigenvalues(self, blocks):
+        with pytest.raises(ValueError, match="finite"):
+            SegreStructure(blocks)
+
 
 class TestBuildJcf:
     def test_two_by_two_nilpotent(self):
