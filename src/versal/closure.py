@@ -17,8 +17,8 @@ from .codimension import bundle_codim, orbit_codim
 from .deformation import arnold_pattern, instantiate
 from .errors import EigenvalueCollision, SizeMismatch
 from .jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SegreStructure,
-                     recover_structure)
-from .linalg import eigenvalues, frobenius_norm
+                     cluster_radius, recover_structure)
+from .linalg import eigenvalues
 
 
 class ClosureMode(Enum):
@@ -104,21 +104,12 @@ def perturbation_experiment(structure, values,
     return recover_structure(perturbed, cluster_tol, rank_tol)
 
 
-def _group_spans(structure):
-    spans = []
-    at = 0
-    for _, sizes in structure.blocks:
-        size = sum(sizes)
-        spans.append((at, at + size))
-        at += size
-    return spans
-
-
 def _check_group_separation(m, structure, threshold):
     # the pattern never couples distinct eigenvalues, so the perturbed matrix
     # is block diagonal and each group's spectrum can be read off its block
-    spans = _group_spans(structure)
-    spectra = [eigenvalues(m[lo:hi, lo:hi]) for lo, hi in spans]
+    groups = [slice(starts[0], starts[0] + sum(sizes))
+              for (_, sizes), starts in zip(structure.blocks, structure.block_starts())]
+    spectra = [eigenvalues(m[group, group]) for group in groups]
     for i in range(len(spectra)):
         for j in range(i + 1, len(spectra)):
             gap = min(abs(u - v) for u in spectra[i] for v in spectra[j])
@@ -167,7 +158,7 @@ def transport_perturbation(structure, replacement_eigenvalues, values,
         # Arnold stars depend only on the block sizes, which relabeling keeps
         perturbed = instantiate(replace(pattern, base=base), filled)
         if len(base.blocks) > 1:
-            threshold = cluster_tol * max(1.0, frobenius_norm(perturbed))
-            _check_group_separation(perturbed, base, threshold)
+            _check_group_separation(perturbed, base,
+                                    cluster_radius(perturbed, cluster_tol))
         results.append(recover_structure(perturbed, cluster_tol, rank_tol))
     return tuple(results)

@@ -78,22 +78,11 @@ class ReductionResult:
     transform: np.ndarray
 
 
-def _block_starts(sizes, origin):
-    starts = []
-    at = origin
-    for k in sizes:
-        starts.append(at)
-        at += k
-    return starts
-
-
 def arnold_pattern(structure):
     """Arnold-shape miniversal deformation pattern of ``structure``."""
     stars = []
     param = 0
-    origin = 0
-    for _, sizes in structure.blocks:
-        starts = _block_starts(sizes, origin)
+    for (_, sizes), starts in zip(structure.blocks, structure.block_starts()):
         t = len(sizes)
         for p in range(t):
             bottom = starts[p] + sizes[p]
@@ -106,7 +95,6 @@ def arnold_pattern(structure):
                 for r in range(sizes[later]):
                     param += 1
                     stars.append((starts[later] + r + 1, first_col, param))
-        origin += sum(sizes)
     return DeformationPattern(structure, Shape.ARNOLD, tuple(stars))
 
 
@@ -114,9 +102,7 @@ def alternate_pattern(structure):
     """Toeplitz-diagonal miniversal pattern; parameter count matches Arnold's."""
     stars = []
     param = 0
-    origin = 0
-    for _, sizes in structure.blocks:
-        starts = _block_starts(sizes, origin)
+    for (_, sizes), starts in zip(structure.blocks, structure.block_starts()):
         t = len(sizes)
         for p in range(t):
             for q in range(t):
@@ -128,7 +114,6 @@ def alternate_pattern(structure):
                         c = r - offset
                         if c < cols:
                             stars.append((starts[p] + r + 1, starts[q] + c + 1, param))
-        origin += sum(sizes)
     return DeformationPattern(structure, Shape.ALTERNATE, tuple(stars))
 
 

@@ -45,6 +45,14 @@ def _complex_pair(value, context):
     return complex(value[0], value[1])
 
 
+def _complex_grid(entries, rows, cols, context, entry_prefix=""):
+    # a row-major list of [re, im] pairs -> rows x cols complex array
+    if len(entries) != rows * cols:
+        raise ValueError(f"{context}: expected {rows * cols} pairs, got {len(entries)}")
+    data = [_complex_pair(e, f"{entry_prefix}entry {i}") for i, e in enumerate(entries)]
+    return np.array(data, dtype=complex).reshape(rows, cols)
+
+
 def matrix_document(m):
     m = as_matrix(m)
     rows, cols = m.shape
@@ -58,11 +66,7 @@ def parse_matrix(doc):
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     entries = _field(doc, "entries", "matrix", list)
-    if len(entries) != rows * cols:
-        raise ValueError(
-            f"field 'entries': expected {rows * cols} pairs, got {len(entries)}")
-    data = [_complex_pair(e, f"entry {i}") for i, e in enumerate(entries)]
-    return as_matrix(np.array(data, dtype=complex).reshape(rows, cols))
+    return as_matrix(_complex_grid(entries, rows, cols, "field 'entries'"))
 
 
 def segre_document(structure):
@@ -105,15 +109,10 @@ def parse_polynomial(doc):
     if len(raw) != degree:
         raise ValueError(
             f"field 'coefficients': expected {degree} matrices, got {len(raw)}")
-    coefficients = []
-    for j, entries in enumerate(raw):
-        entries = _typed(entries, list, f"coefficient {j}")
-        if len(entries) != size * size:
-            raise ValueError(
-                f"coefficient {j}: expected {size * size} pairs, got {len(entries)}")
-        data = [_complex_pair(e, f"coefficient {j} entry {i}")
-                for i, e in enumerate(entries)]
-        coefficients.append(np.array(data, dtype=complex).reshape(size, size))
+    coefficients = [
+        _complex_grid(_typed(entries, list, f"coefficient {j}"), size, size,
+                      f"coefficient {j}", f"coefficient {j} ")
+        for j, entries in enumerate(raw)]
     return MonicPolynomial(coefficients)
 
 

@@ -9,6 +9,7 @@ using eigenvalue clustering followed by rank counts of shifted powers.
 from __future__ import annotations
 
 import cmath
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -85,6 +86,19 @@ class SegreStructure:
         """Block-size partitions in listed eigenvalue order."""
         return tuple(sizes for _, sizes in self.blocks)
 
+    def block_starts(self):
+        """Per eigenvalue, the 0-based offset of each block in :func:`build_jcf`.
+
+        Blocks sit along the diagonal in listed order, eigenvalue group by
+        group, so ``zip(self.blocks, self.block_starts())`` walks the grid.
+        """
+        starts = []
+        at = 0
+        for _, sizes in self.blocks:
+            starts.append(tuple(itertools.accumulate(sizes[:-1], initial=at)))
+            at += sum(sizes)
+        return tuple(starts)
+
 
 @dataclass(frozen=True)
 class WeyrStructure:
@@ -102,9 +116,11 @@ class WeyrStructure:
 
 def jordan_block(size, eigenvalue):
     """Upper bidiagonal block with ``eigenvalue`` on the diagonal."""
-    out = np.eye(size, dtype=complex) * complex(eigenvalue)
-    for i in range(size - 1):
-        out[i, i + 1] = 1.0
+    # assigned, not multiplied, so nothing overflows; adding 0j turns a signed
+    # zero part such as the real part of -2j into +0, like every other zero
+    out = np.zeros((size, size), dtype=complex)
+    np.fill_diagonal(out, complex(eigenvalue) + 0j)
+    np.fill_diagonal(out[:, 1:], 1.0)
     return out
 
 
@@ -112,11 +128,9 @@ def build_jcf(structure):
     """Block-diagonal Jordan matrix for ``structure``, blocks in listed order."""
     n = structure.total_size
     out = np.zeros((n, n), dtype=complex)
-    at = 0
-    for eig, sizes in structure.blocks:
-        for k in sizes:
+    for (eig, sizes), starts in zip(structure.blocks, structure.block_starts()):
+        for k, at in zip(sizes, starts):
             out[at:at + k, at:at + k] = jordan_block(k, eig)
-            at += k
     return out
 
 
@@ -161,6 +175,11 @@ def _cluster(values, threshold):
     return list(groups.values())
 
 
+def cluster_radius(m, cluster_tol):
+    """Clustering radius of :func:`recover_structure`: ``cluster_tol * max(1, ||m||_F)``."""
+    return cluster_tol * max(1.0, float(np.linalg.norm(m)))
+
+
 def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_TOL):
     """Recover the Segre structure of a matrix.
 
@@ -188,8 +207,7 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
     if n > MAX_RECOVERY_ORDER:
         raise ValueError(f"matrix order {n} exceeds cap {MAX_RECOVERY_ORDER}")
 
-    threshold = cluster_tol * max(1.0, float(np.linalg.norm(m)))
-    clusters = _cluster(eigenvalues(m), threshold)
+    clusters = _cluster(eigenvalues(m), cluster_radius(m, cluster_tol))
 
     eye = np.eye(n, dtype=complex)
     blocks = []

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,16 @@ class TestJcfCommand:
         matrix = files.load_matrix(out)
         assert np.array_equal(matrix,
                               build_jcf(SegreStructure([(0.0, [2]), (1.0, [1])])))
+
+    def test_no_negative_zeros(self, tmp_path, capsys):
+        # the literal -2j has real part -0.0, which the segre file keeps
+        path = write_segre(tmp_path, [(-1.0, [3]), (-2j, [2])])
+        out = tmp_path / "jcf.json"
+        assert main(["jcf", path, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "-2j" in printed
+        assert re.search(r"-0(?![.\d])", printed) is None
+        assert "-0.0" not in out.read_text()
 
 
 def segre_doc(eigenvalue=(0.0, 0.0), sizes=(2,)):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ class TestSegreStructure:
         assert s.total_size == 6
         assert s == SegreStructure([(0, (3, 1)), (2 + 1j, (2,))])
         assert s.partitions() == ((3, 1), (2,))
+        assert s.block_starts() == ((0, 3), (4,))
 
     @pytest.mark.parametrize("sizes", [[2.7, 1], [2.0], ["3"], [True], [2, None]])
     def test_rejects_non_integer_sizes(self, sizes):
@@ -69,6 +72,34 @@ class TestBuildJcf:
         expected[3:5, 3:5] = jordan_block(2, lam)
         expected[5:7, 5:7] = jordan_block(2, mu)
         assert np.array_equal(m, expected)
+
+    @pytest.mark.parametrize("pool", [(0.0, 1.0, 2.0 + 1.0j), (-1.0, -2j, -0.5 - 0.5j)])
+    def test_enumerated_against_per_block_product(self, pool):
+        for n in range(1, 8):
+            for s in structures_of_size(n, pool):
+                m = build_jcf(s)
+                expected = np.zeros((n, n), dtype=complex)
+                at = 0
+                for eig, sizes in s.blocks:
+                    for k in sizes:
+                        expected[at:at + k, at:at + k] = np.eye(k) * eig + np.eye(k, k=1)
+                        at += k
+                assert np.array_equal(m, expected)
+                parts = m.view(float)  # real and imaginary parts
+                assert not np.any(np.signbit(parts[parts == 0])), s
+                # a block starts exactly where the superdiagonal holds a zero
+                breaks = [start - 1 for starts in s.block_starts()
+                          for start in starts if start > 0]
+                assert breaks == list(np.flatnonzero(np.diagonal(m, 1) == 0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_block_near_float_range_does_not_overflow(self, k):
+        lam = 1e308 + 1e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = jordan_block(k, lam)
+        assert np.all(np.diagonal(block) == lam)
+        assert np.all(np.diagonal(block, 1) == 1.0)
 
 
 class TestConjugation:
