@@ -25,7 +25,8 @@ SIMILARITY_CHECK_TOL = 1e-10
 
 
 def _format_complex(z):
-    z = complex(z)
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    z = complex(z.real + 0.0, z.imag + 0.0)
     if z.imag == 0.0:
         return f"{z.real:.12g}"
     return f"({z.real:.12g}{z.imag:+.12g}j)"

@@ -29,12 +29,15 @@ def as_matrix(values):
     Accepts anything ``numpy.asarray`` does; 1-D input becomes a row vector.
     Rejects empty shapes and non-finite entries.
     """
-    m = np.atleast_2d(np.asarray(values, dtype=complex))
+    m = np.asarray(values, dtype=complex)
+    if m.ndim < 2:
+        m = np.atleast_2d(m)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got an array of ndim={m.ndim}")
     if m.size == 0:
         raise ValueError("matrix must have at least one row and one column")
-    if not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
+    # a complex entry is finite only when both of its parts are
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -53,6 +56,11 @@ def solve_linear(a, b):
     b : array_like with ``b.shape[0] == a.shape[0]`` (multiple right-hand
         sides are solved column-wise)
 
+    Within ``1/2`` of the identity in the Frobenius norm, ``a`` is
+    nonsingular by Weyl's inequality and is solved at once; any other ``a``
+    first passes a singular-value gate.  Both paths accept and reject the
+    same matrices.
+
     Raises
     ------
     SingularMatrix
@@ -65,17 +73,21 @@ def solve_linear(a, b):
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        raise SingularMatrix("coefficient matrix is zero")
-    # gate on sigma_min, not on elimination pivots: a small pivot implies a
-    # small sigma_min, but a triangular matrix with unit pivots can still be
-    # singular to working precision
-    smallest = float(np.linalg.svd(a, compute_uv=False)[-1])
-    if smallest < SINGULAR_TOL * scale:
-        raise SingularMatrix(
-            f"smallest singular value {smallest:.3e} below "
-            f"{SINGULAR_TOL:g}*||a||_F = {SINGULAR_TOL * scale:.3e}")
+    # sigma_min(a) >= 1 - ||a - I||_2 >= 1 - ||a - I||_F (Weyl), so within
+    # 1/2 of I sigma_min >= 1/2, which exceeds SINGULAR_TOL * (sqrt(n) + 1/2)
+    # >= SINGULAR_TOL * ||a||_F at every order: the gate could only pass
+    if np.linalg.norm(a - np.eye(a.shape[0])) > 0.5:
+        scale = float(np.linalg.norm(a))
+        if scale == 0.0:
+            raise SingularMatrix("coefficient matrix is zero")
+        # gate on sigma_min, not on elimination pivots: a small pivot implies
+        # a small sigma_min, but a triangular matrix with unit pivots can
+        # still be singular to working precision
+        smallest = float(np.linalg.svd(a, compute_uv=False)[-1])
+        if smallest < SINGULAR_TOL * scale:
+            raise SingularMatrix(
+                f"smallest singular value {smallest:.3e} below "
+                f"{SINGULAR_TOL:g}*||a||_F = {SINGULAR_TOL * scale:.3e}")
     return np.linalg.solve(a, b)
 
 

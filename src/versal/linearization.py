@@ -15,7 +15,10 @@ The commutator equation is solved in structured form: below its first block
 row the carried linearization is a pure block shift, so every solution is
 determined by its last ``n x dn`` block row, and one least-squares fit of that
 row against the stacked powers of the linearization picks the minimum-norm
-one.  A sweep costs ``O(d (dn)^3)``.
+one.  The stack ends in an identity block, so its smallest singular value is
+at least 1: the fit has full column rank and a unique solution, found by a
+reduced QR factorization with no rank cutoff.  A sweep costs
+``O(d (dn)^3)``.
 """
 
 from __future__ import annotations
@@ -26,14 +29,10 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MaxIterationsExceeded, SingularMatrix,
                      SingularTransform, StagnationDetected)
-from .linalg import as_matrix, frobenius_norm, min_norm_least_squares, solve_linear
+from .linalg import as_matrix, frobenius_norm, solve_linear
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
-
-# Rank cutoff for the minimum-norm commutator solve; tighter than the
-# general default to keep ||X|| as small as the contraction needs.
-COMMUTATOR_RCOND = 1e-12
 
 # Cap on the linearization order dn (a commutator solve costs O(d (dn)^3)).
 MAX_ORDER = 16
@@ -129,7 +128,10 @@ def _solve_commutator_step(m, unstructured, d, n):
     # block row m is a pure block shift, so block row i of the equation reads
     # X_{i-1} = X_i @ m + U_i: every solution is X_k = Y @ m^(d-1-k) + R_k
     # with the last block row Y free, and ||X||_F is least for the Y fitting
-    # Y @ [m^(d-1) | ... | m | I] ~ -[R_0 | ... | R_{d-1}]
+    # Y @ [m^(d-1) | ... | m | I] ~ -[R_0 | ... | R_{d-1}].  The identity
+    # block keeps sigma_min of the stack >= 1, so the fit has full rank, its
+    # least-squares solution is unique (hence of minimum norm) and a reduced
+    # QR solves it without a rank cutoff
     big = d * n
     u = [unstructured[i * n:(i + 1) * n] for i in range(d)]
     powers = [np.eye(big, dtype=complex)]
@@ -137,9 +139,8 @@ def _solve_commutator_step(m, unstructured, d, n):
     for k in range(d - 1, 0, -1):
         powers.append(powers[-1] @ m)
         offsets.append(offsets[-1] @ m + u[k])
-    y = min_norm_least_squares(np.hstack(powers[::-1]).T,
-                               -np.hstack(offsets[::-1]).T,
-                               rcond=COMMUTATOR_RCOND).T
+    q, r = np.linalg.qr(np.hstack(powers[::-1]).T)
+    y = -np.linalg.solve(r, q.conj().T @ np.hstack(offsets[::-1]).T).T
     # rebuild the rows by the recursion itself: Y @ m^j + R_k loses digits
     # once the powers of m grow apart, the recursion keeps the residual at
     # roundoff
@@ -200,11 +201,12 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
                 f"unstructured norm {residual:.3e} > {tol:g} after "
                 f"{max_iter} sweeps"))
         x = _solve_commutator_step(c + structured, unstructured, d, n)
+        step = eye - x
         try:
-            e = solve_linear(eye - x, e @ (eye - x) - c @ x + x @ c)
+            e = solve_linear(step, e @ step - c @ x + x @ c)
         except SingularMatrix as exc:
             raise _fail(SingularTransform(str(exc))) from exc
-        s = s @ (eye - x)
+        s = s @ step
         structured, unstructured = split(e, d, n)
         next_residual = frobenius_norm(unstructured)
         if next_residual >= residual:

@@ -123,6 +123,17 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert out.count("[1]") == 3 and "[2]" in out
 
+    def test_signed_zero_prints_as_zero(self, tmp_path, capsys):
+        # -1j is stored as [-0.0, -1.0]; input and recovered lines must name
+        # the same eigenvalue the same way
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"kind": "segre", "blocks": [
+            {"eigenvalue": [0.0, 0.0], "sizes": [2]},
+            {"eigenvalue": [-0.0, -1.0], "sizes": [1]}]}))
+        assert main(["experiment", str(path), "--set", "1=1e-3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "(0-1j): [1]" in lines[0] and "(0-1j): [1]" in lines[1]
+
     def test_bad_parameter_index(self, tmp_path, capsys):
         path = write_segre(tmp_path, [(0.0, [2])])
         assert main(["experiment", path, "--set", "9=0.01"]) == 2

@@ -3,6 +3,7 @@ import pytest
 
 from versal import (SingularMatrix, as_matrix, eigenvalues, frobenius_norm,
                     min_norm_least_squares, numerical_rank, solve_linear)
+from versal.linalg import SINGULAR_TOL
 from versal.jordan import jordan_block
 
 from conftest import eigen_match_distance, random_complex
@@ -21,6 +22,13 @@ class TestAsMatrix:
     def test_rejects_inf_imag(self):
         with pytest.raises(ValueError, match="finite"):
             as_matrix([[1.0 + 1j * np.inf]])
+
+    @pytest.mark.parametrize("entry", [complex(1.0, np.nan), complex(np.inf, 0.0),
+                                       complex(-np.inf, 2.0)],
+                             ids=["nan-imag", "inf-real", "minus-inf-real"])
+    def test_rejects_non_finite_part(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix([[0.0, entry], [1.0, 1.0]])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -93,6 +101,35 @@ class TestSolveLinear:
         assert frobenius_norm(a @ x - b) <= 1e-14 * frobenius_norm(a) * frobenius_norm(x)
         with pytest.raises(SingularMatrix, match="singular value"):
             solve_linear(unit_upper(50), random_complex(rng, 50, 2))
+
+    def test_near_identity_skips_only_a_passing_gate(self):
+        # within 1/2 of I (Frobenius) sigma_min >= 1/2 by Weyl's inequality,
+        # so the singular-value gate would pass and the solve is numpy's own
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+                          radius=st.floats(0.0, 0.5))
+        def check(n, seed, radius):
+            rng = np.random.default_rng(seed)
+            f = random_complex(rng, n, n)
+            a = np.eye(n) + f * (radius / np.linalg.norm(f))
+            b = random_complex(rng, n, 2)
+            assert np.array_equal(solve_linear(a, b), np.linalg.solve(a, b))
+            smallest = np.linalg.svd(a, compute_uv=False)[-1]
+            assert smallest >= SINGULAR_TOL * np.linalg.norm(a)
+
+        check()
+
+    def test_singular_at_distance_one_from_identity(self):
+        # I - e1 e1^T is exactly singular, just outside the certified ball
+        a = np.eye(3)
+        a[0, 0] = 0.0
+        assert np.linalg.norm(a - np.eye(3)) == 1.0
+        with pytest.raises(SingularMatrix, match="singular value"):
+            solve_linear(a, np.ones((3, 1)))
 
 
 class TestMinNormLeastSquares:

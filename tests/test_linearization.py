@@ -206,13 +206,14 @@ def kron_commutator_step(m, unstructured, d, n):
     the column-major vectorization: the ``(dn)^2 x (dn)^2`` Kronecker matrix
     restricted to the rows of unstructured entries.
     """
+    # rank cutoff of the dense fit, relative to its largest singular value
+    rcond = 1e-12
     big = d * n
     eye = np.eye(big)
     full = np.kron(m.T, eye) - np.kron(eye, m)
     keep = (np.arange(big * big) % big) >= n
     rhs = -unstructured.flatten(order="F")
-    x, *_ = np.linalg.lstsq(full[keep], rhs[keep],
-                            rcond=linearization.COMMUTATOR_RCOND)
+    x, *_ = np.linalg.lstsq(full[keep], rhs[keep], rcond=rcond)
     return x.reshape((big, big), order="F")
 
 
