@@ -15,7 +15,6 @@ import numpy as np
 from .jordan import build_jcf
 from .linalg import numerical_rank
 
-ORACLE_RANK_TOL = 1e-10
 MAX_ORACLE_ORDER = 10
 
 
@@ -37,7 +36,7 @@ def bundle_codim(structure):
     return orbit_codim(structure) - len(structure.blocks)
 
 
-def orbit_codim_oracle(structure, rank_tol=ORACLE_RANK_TOL):
+def orbit_codim_oracle(structure):
     """Nullity of the commutator map ``X -> X@A - A@X`` at ``A = build_jcf``.
 
     Vectorizes the map into an ``n^2 x n^2`` matrix and counts its rank
@@ -49,4 +48,4 @@ def orbit_codim_oracle(structure, rank_tol=ORACLE_RANK_TOL):
     a = build_jcf(structure)
     eye = np.eye(n)
     commutator = np.kron(a.T, eye) - np.kron(eye, a)
-    return n * n - numerical_rank(commutator, rank_tol)
+    return n * n - numerical_rank(commutator)

@@ -6,13 +6,14 @@ dense perturbation of that linearization destroys the companion block
 structure; :func:`recover` finds a similarity carrying the perturbed
 linearization back to the linearization of a perturbed polynomial, i.e. it
 reduces the full perturbation to one supported on the coefficient block row
-only.  Each sweep solves a Sylvester-type commutator equation for its
-minimum-norm solution to cancel the current unstructured part, then extracts
-the exactly-similar next perturbation.  The iteration is the one of
-A. Dmytryshyn, BIT Numer. Math. (2022).
+only.  The transform ``S`` is the iteration's only state.  Each sweep reads
+the perturbation ``S^-1 (C + E) S - C`` off it with one solve, solves a
+Sylvester-type commutator equation for the minimum-norm ``X`` cancelling that
+perturbation's unstructured part to first order, and sets ``S <- S (I - X)``.
+The iteration is the one of A. Dmytryshyn, BIT Numer. Math. (2022).
 
 The commutator equation is solved in structured form: below its first block
-row the carried linearization is a pure block shift, so every solution is
+row the nearest companion matrix is a pure block shift, so every solution is
 determined by its last ``n x dn`` block row, and one least-squares fit of that
 row against the stacked powers of the linearization picks the minimum-norm
 one.  The stack ends in an identity block, so its smallest singular value is
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MaxIterationsExceeded, SingularMatrix,
                      SingularTransform, StagnationDetected)
-from .linalg import as_matrix, frobenius_norm, solve_linear
+from .linalg import as_matrix, solve_linear
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
@@ -72,10 +73,11 @@ class MonicPolynomial:
 class RecoveryResult:
     """Outcome of :func:`recover`.
 
-    ``residual_trace`` lists the unstructured norm ``||E_i^u||_F`` at every
-    loop entry (its last entry is below the tolerance), ``iterations`` counts
-    executed sweeps, and ``similarity_residual`` is the final check value
-    ``||S^-1 (C_P + E_1) S - C_{P+F}||_F``.
+    ``residual_trace`` lists the unstructured norm of
+    ``S_i^-1 (C_P + E_1) S_i`` at every loop entry (its last entry is below
+    the tolerance), ``iterations`` counts executed sweeps, and
+    ``similarity_residual`` is ``||S^-1 (C_P + E_1) S - C_{P+F}||_F`` for the
+    returned transform, which is the last entry of ``residual_trace``.
     """
 
     recovered: MonicPolynomial
@@ -124,8 +126,9 @@ def split(m, d, n):
 
 
 def _solve_commutator_step(m, unstructured, d, n):
-    # minimum-norm X with (X @ m - m @ X)^u = -unstructured.  Below its first
-    # block row m is a pure block shift, so block row i of the equation reads
+    # minimum-norm X with (X @ m - m @ X)^u = -unstructured^u; the first
+    # block row of unstructured is never read.  Below its first block row m
+    # is a pure block shift, so block row i of the equation reads
     # X_{i-1} = X_i @ m + U_i: every solution is X_k = Y @ m^(d-1-k) + R_k
     # with the last block row Y free, and ||X||_F is least for the Y fitting
     # Y @ [m^(d-1) | ... | m | I] ~ -[R_0 | ... | R_{d-1}].  The identity
@@ -154,10 +157,11 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Reduce a full perturbation of ``companion(poly)`` to a structured one.
 
     Iterates similarity updates ``S_{i+1} = S_i (I - X_i)`` until the
-    unstructured part of the carried perturbation falls below ``tol``, then
-    reads the recovered coefficient perturbations off the first block row.
-    Intended for perturbations small relative to ``||companion(poly)||_F``
-    (roughly ``<= 1e-2``); larger inputs may diverge and raise.
+    unstructured part of ``S_i^-1 (C + E) S_i`` falls below ``tol``, then
+    reads the recovered coefficients off its first block row.  Intended for
+    perturbations small relative to ``||companion(poly)||_F`` (roughly
+    ``<= 1e-2``); larger inputs may diverge and raise, as does a ``tol``
+    below the roundoff floor, a fraction of ``u ||C + E||_F``.
 
     Raises
     ------
@@ -165,8 +169,8 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         If the unstructured norm stays above ``tol`` after ``max_iter``
         sweeps.
     SingularTransform
-        If an ``I - X_i`` factor is numerically singular (input outside the
-        small-perturbation contract).
+        If an accumulated transform ``S_i`` is numerically singular (input
+        outside the small-perturbation contract).
     StagnationDetected
         If the unstructured norm fails to decrease three sweeps in a row.
     """
@@ -181,7 +185,7 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     c = companion(poly)
     original = c + e
     eye = np.eye(big, dtype=complex)
-    s = eye.copy()
+    s = eye
     trace = []
     iterations = 0
     stalled = 0
@@ -190,9 +194,17 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         exc.residual_trace = tuple(trace)
         return exc
 
-    structured, unstructured = split(e, d, n)
-    residual = frobenius_norm(unstructured)
     while True:
+        # e = S^-1 (C + E) S - C: its first block row perturbs the
+        # coefficients, the rest is the unstructured part still to cancel
+        m = c.copy()
+        m[:n] += e[:n]
+        residual = float(np.linalg.norm(e[n:]))
+        stalled = stalled + 1 if trace and residual >= trace[-1] else 0
+        if stalled >= 3:
+            raise _fail(StagnationDetected(
+                f"unstructured norm stuck at {residual:.3e} for "
+                f"3 consecutive sweeps"))
         trace.append(residual)
         if residual <= tol:
             break
@@ -200,35 +212,19 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
             raise _fail(MaxIterationsExceeded(
                 f"unstructured norm {residual:.3e} > {tol:g} after "
                 f"{max_iter} sweeps"))
-        x = _solve_commutator_step(c + structured, unstructured, d, n)
-        step = eye - x
+        s = s @ (eye - _solve_commutator_step(m, e, d, n))
+        # solve for S^-1 (C + E) S - C, not for S^-1 (C + E) S: the latter
+        # rounds its unit subdiagonal to 1, which can zero the residual by
+        # chance and so meet a tolerance below roundoff
         try:
-            e = solve_linear(step, e @ step - c @ x + x @ c)
+            e = solve_linear(s, original @ s - s @ c)
         except SingularMatrix as exc:
             raise _fail(SingularTransform(str(exc))) from exc
-        s = s @ step
-        structured, unstructured = split(e, d, n)
-        next_residual = frobenius_norm(unstructured)
-        if next_residual >= residual:
-            stalled += 1
-            if stalled >= 3:
-                raise _fail(StagnationDetected(
-                    f"unstructured norm stuck at {next_residual:.3e} for "
-                    f"3 consecutive sweeps"))
-        else:
-            stalled = 0
-        residual = next_residual
         iterations += 1
 
-    # block (1, j) of the final perturbation adds to -A_{d-1-j} in the
-    # companion form, so it subtracts from the corresponding coefficient
-    new_coefficients = list(poly.coefficients)
-    for j in range(d):
-        index = d - 1 - j
-        new_coefficients[index] = poly.coefficients[index] - e[:n, j * n:(j + 1) * n]
-    recovered = MonicPolynomial(new_coefficients)
-
-    residual = frobenius_norm(solve_linear(s, original @ s) - companion(recovered))
+    # m is companion(recovered) exactly, so the similarity residual
+    # ||S^-1 (C + E) S - m||_F is the last residual
+    recovered = MonicPolynomial(np.hsplit(-m[:n], d)[::-1])
     return RecoveryResult(recovered=recovered, transform=s,
                           iterations=iterations, residual_trace=tuple(trace),
                           similarity_residual=residual)

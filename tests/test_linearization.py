@@ -118,6 +118,7 @@ class TestRecover:
         e1 = random_perturbation(rng, 4, 1e-4)
         result = recover(p, e1, tol=1e-12)
         assert result.residual_trace[-1] <= 1e-12
+        assert result.similarity_residual == result.residual_trace[-1]
         assert result.similarity_residual <= 1e-10 * frobenius_norm(c + e1)
         match = eigen_match_distance(eigenvalues(companion(result.recovered)),
                                      eigenvalues(c + e1))
@@ -178,6 +179,28 @@ class TestRecover:
         with pytest.raises((MaxIterationsExceeded, StagnationDetected,
                             SingularTransform)):
             recover(p, e1)
+
+    @pytest.mark.parametrize("d, n", [(2, 8), (4, 4), (8, 2), (16, 1)])
+    def test_returned_result_meets_a_tight_tolerance(self, d, n):
+        # at dn = 16 the tolerance is below u * ||C + E||_F, near the
+        # roundoff floor: whatever recover returns has met it
+        rng = np.random.default_rng(14)
+        for norm in (1e-6, 1e-4, 1e-2):
+            p = MonicPolynomial([random_complex(rng, n, n) for _ in range(d)])
+            e1 = random_perturbation(rng, d * n, norm * frobenius_norm(companion(p)))
+            try:
+                result = recover(p, e1, tol=1e-15)
+            except (MaxIterationsExceeded, StagnationDetected):
+                continue
+            assert result.similarity_residual <= 1e-15
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (2, 8), (16, 1)])
+    def test_tolerance_below_roundoff_raises(self, d, n):
+        rng = np.random.default_rng(15)
+        p = MonicPolynomial([random_complex(rng, n, n) for _ in range(d)])
+        e1 = random_perturbation(rng, d * n, 1e-4 * frobenius_norm(companion(p)))
+        with pytest.raises((MaxIterationsExceeded, StagnationDetected)):
+            recover(p, e1, tol=1e-18)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
