@@ -16,10 +16,12 @@ The commutator equation is solved in structured form: below its first block
 row the nearest companion matrix is a pure block shift, so every solution is
 determined by its last ``n x dn`` block row, and one least-squares fit of that
 row against the stacked powers of the linearization picks the minimum-norm
-one.  The stack ends in an identity block, so its smallest singular value is
-at least 1: the fit has full column rank and a unique solution, found by a
-reduced QR factorization with no rank cutoff.  A sweep costs
-``O(d (dn)^3)``.
+one.  The powers and the fit's right-hand side are built together by one
+recursion and factored together: the R factor of the stacked recursion holds
+both the triangle of the powers and the projected right-hand side, so Q is
+never formed.  The stack ends in an identity block, so its smallest singular
+value is at least 1: the fit has full column rank and a unique solution, with
+no rank cutoff.  A sweep costs ``O(d (dn)^3)``.
 """
 
 from __future__ import annotations
@@ -96,10 +98,8 @@ def companion(poly):
     d, n = poly.degree, poly.size
     big = d * n
     out = np.zeros((big, big), dtype=complex)
-    for j, coeff in enumerate(reversed(poly.coefficients)):
-        out[:n, j * n:(j + 1) * n] = -coeff
-    for i in range(1, d):
-        out[i * n:(i + 1) * n, (i - 1) * n:i * n] = np.eye(n)
+    out[:n] = -np.hstack(poly.coefficients[::-1])
+    out[n:, :-n] = np.eye(big - n)
     return out
 
 
@@ -132,24 +132,28 @@ def _solve_commutator_step(m, unstructured, d, n):
     # X_{i-1} = X_i @ m + U_i: every solution is X_k = Y @ m^(d-1-k) + R_k
     # with the last block row Y free, and ||X||_F is least for the Y fitting
     # Y @ [m^(d-1) | ... | m | I] ~ -[R_0 | ... | R_{d-1}].  The identity
-    # block keeps sigma_min of the stack >= 1, so the fit has full rank, its
-    # least-squares solution is unique (hence of minimum norm) and a reduced
-    # QR solves it without a rank cutoff
+    # block keeps sigma_min of the stack >= 1, so the fit has full rank and
+    # its least-squares solution is unique (hence of minimum norm).  The
+    # blocks W_k = (m^(d-1-k) ; R_k) follow one recursion,
+    # W_{k-1} = W_k @ m + (0 ; U_k) from W_{d-1} = (I ; 0).  R factor of the
+    # stacked recursion, Q never formed: with [W_0 | ... | W_{d-1}]^T = QR,
+    # R's leading dn x dn triangle factors the powers and its last n columns
+    # are Q^H applied to the offsets, which is all the fit needs
     big = d * n
-    u = [unstructured[i * n:(i + 1) * n] for i in range(d)]
-    powers = [np.eye(big, dtype=complex)]
-    offsets = [np.zeros((n, big), dtype=complex)]
+    w = np.eye(big + n, big, dtype=complex)
+    stack = [w]
     for k in range(d - 1, 0, -1):
-        powers.append(powers[-1] @ m)
-        offsets.append(offsets[-1] @ m + u[k])
-    q, r = np.linalg.qr(np.hstack(powers[::-1]).T)
-    y = -np.linalg.solve(r, q.conj().T @ np.hstack(offsets[::-1]).T).T
+        w = w @ m
+        w[big:] += unstructured[k * n:(k + 1) * n]
+        stack.append(w)
+    r = np.linalg.qr(np.hstack(stack[::-1]).T, mode="r")
+    y = -np.linalg.solve(r[:big, :big], r[:big, big:]).T
     # rebuild the rows by the recursion itself: Y @ m^j + R_k loses digits
     # once the powers of m grow apart, the recursion keeps the residual at
     # roundoff
     rows = [y]
     for k in range(d - 1, 0, -1):
-        rows.append(rows[-1] @ m + u[k])
+        rows.append(rows[-1] @ m + unstructured[k * n:(k + 1) * n])
     return np.vstack(rows[::-1])
 
 
@@ -172,7 +176,8 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         If an accumulated transform ``S_i`` is numerically singular (input
         outside the small-perturbation contract).
     StagnationDetected
-        If the unstructured norm fails to decrease three sweeps in a row.
+        If three sweeps in a row fail to bring the unstructured norm below
+        its smallest value so far.
     """
     d, n = poly.degree, poly.size
     big = d * n
@@ -200,11 +205,13 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         m = c.copy()
         m[:n] += e[:n]
         residual = float(np.linalg.norm(e[n:]))
-        stalled = stalled + 1 if trace and residual >= trace[-1] else 0
+        # count sweeps since the smallest norm so far: at the roundoff floor
+        # the norm fluctuates, and a chance dip must not restart the count
+        stalled = stalled + 1 if trace and residual >= min(trace) else 0
         if stalled >= 3:
             raise _fail(StagnationDetected(
-                f"unstructured norm stuck at {residual:.3e} for "
-                f"3 consecutive sweeps"))
+                f"unstructured norm {residual:.3e} has not fallen below its "
+                f"minimum {min(trace):.3e} for 3 consecutive sweeps"))
         trace.append(residual)
         if residual <= tol:
             break
@@ -224,7 +231,9 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
     # m is companion(recovered) exactly, so the similarity residual
     # ||S^-1 (C + E) S - m||_F is the last residual
-    recovered = MonicPolynomial(np.hsplit(-m[:n], d)[::-1])
+    top = -m[:n]
+    recovered = MonicPolynomial(top[:, k * n:(k + 1) * n]
+                                for k in range(d - 1, -1, -1))
     return RecoveryResult(recovered=recovered, transform=s,
                           iterations=iterations, residual_trace=tuple(trace),
                           similarity_residual=residual)
