@@ -5,12 +5,13 @@ An orbit (or bundle) can only contain strictly higher-codimensional orbits
 necessary condition - never a sufficient one.  The perturbation experiments
 below realize the complementary qualitative direction: instantiate the
 miniversal pattern of a structure with small parameter values and read off
-which Jordan structure the perturbed matrix actually has.
+which Jordan structure the perturbed matrix actually has, raising instead
+when the perturbed eigenvalues of distinct groups merge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .codimension import bundle_codim, orbit_codim
@@ -98,9 +99,18 @@ def perturbation_experiment(structure, values,
     omitted parameters stay zero.  The handful of pattern parameters stands
     in for a full dense perturbation, which is what makes these experiments
     cheap.
+
+    Raises
+    ------
+    EigenvalueCollision
+        If perturbed eigenvalues of distinct groups come within the
+        clustering radius of each other.
     """
     pattern = arnold_pattern(structure)
     perturbed = instantiate(pattern, _filled_values(pattern, values))
+    if len(structure.blocks) > 1:
+        _check_group_separation(perturbed, structure,
+                                cluster_radius(perturbed, cluster_tol))
     return recover_structure(perturbed, cluster_tol, rank_tol)
 
 
@@ -112,7 +122,7 @@ def _check_group_separation(m, structure, threshold):
     spectra = [eigenvalues(m[group, group]) for group in groups]
     for i in range(len(spectra)):
         for j in range(i + 1, len(spectra)):
-            gap = min(abs(u - v) for u in spectra[i] for v in spectra[j])
+            gap = abs(spectra[i][:, None] - spectra[j]).min()
             if gap <= threshold:
                 raise EigenvalueCollision(
                     f"perturbed eigenvalue groups {i + 1} and {j + 1} come "
@@ -124,12 +134,12 @@ def transport_perturbation(structure, replacement_eigenvalues, values,
                            rank_tol=DEFAULT_RANK_TOL):
     """Apply one pattern perturbation to a structure and its relabeling.
 
-    Builds the Arnold-pattern perturbation of ``structure`` and of the same
-    structure with its eigenvalues replaced by ``replacement_eigenvalues``
-    (one per group, pairwise distinct), then recovers both Jordan
-    structures.  Matrices in the same bundle react to one perturbation with
-    the same partition multiset, so the two results must agree up to
-    eigenvalue values.
+    Two :func:`perturbation_experiment` runs with the same ``values``: on
+    ``structure`` and on it with its eigenvalues replaced by
+    ``replacement_eigenvalues`` (one per group, pairwise distinct).  Arnold
+    stars depend only on the block sizes, so both get one perturbation, and
+    matrices in one bundle react to it with the same partition multiset:
+    the two results must agree up to eigenvalue values.
 
     Raises
     ------
@@ -150,15 +160,5 @@ def transport_perturbation(structure, replacement_eigenvalues, values,
                     f"replacement eigenvalues {i + 1} and {j + 1} coincide")
     relabeled = SegreStructure(
         [(replacements[i], sizes) for i, (_, sizes) in enumerate(structure.blocks)])
-
-    pattern = arnold_pattern(structure)
-    filled = _filled_values(pattern, values)
-    results = []
-    for base in (structure, relabeled):
-        # Arnold stars depend only on the block sizes, which relabeling keeps
-        perturbed = instantiate(replace(pattern, base=base), filled)
-        if len(base.blocks) > 1:
-            _check_group_separation(perturbed, base,
-                                    cluster_radius(perturbed, cluster_tol))
-        results.append(recover_structure(perturbed, cluster_tol, rank_tol))
-    return tuple(results)
+    return tuple(perturbation_experiment(base, values, cluster_tol, rank_tol)
+                 for base in (structure, relabeled))

@@ -140,7 +140,7 @@ def instantiate(pattern, values):
     return out
 
 
-def reduce_single_block(a, eigenvalue, pivot_tol=PIVOT_TOL):
+def reduce_single_block(a, eigenvalue):
     """Reduce a perturbed single Jordan block to its miniversal deformation.
 
     ``a`` is expected to be ``J_k(eigenvalue) + E`` with ``E`` small.  Working
@@ -158,7 +158,7 @@ def reduce_single_block(a, eigenvalue, pivot_tol=PIVOT_TOL):
     Raises
     ------
     PivotBreakdown
-        If a working pivot modulus drops below ``pivot_tol`` (the input is
+        If a working pivot modulus drops below ``PIVOT_TOL`` (the input is
         too far from the base block for this reduction).
     """
     a = as_matrix(a)
@@ -172,9 +172,9 @@ def reduce_single_block(a, eigenvalue, pivot_tol=PIVOT_TOL):
     s = eye.copy()
     for p in range(k - 1):
         pivot = b[p, p + 1]
-        if abs(pivot) < pivot_tol:
+        if abs(pivot) < PIVOT_TOL:
             raise PivotBreakdown(
-                f"pivot {p + 1} has modulus {abs(pivot):.3e} < {pivot_tol:g}")
+                f"pivot {p + 1} has modulus {abs(pivot):.3e} < {PIVOT_TOL:g}")
         t = eye.copy()
         t[p + 1, :] = -b[p, :] / pivot
         t[p + 1, p + 1] = 1.0 / pivot

@@ -16,7 +16,7 @@ from .errors import NoConvergence, SingularMatrix
 # is declared singular.
 SINGULAR_TOL = 1e-14
 
-# Default relative cutoff for numerical-rank decisions.
+# Relative cutoff for numerical-rank decisions.
 RANK_TOL = 1e-10
 
 # Hard cap on the dense eigensolver; everything in this package is desk scale.
@@ -91,31 +91,29 @@ def solve_linear(a, b):
     return np.linalg.solve(a, b)
 
 
-def min_norm_least_squares(a, b, rcond=RANK_TOL):
+def min_norm_least_squares(a, b):
     """Minimum-norm least-squares solution of ``a @ x = b``.
 
     Among all ``x`` minimizing ``||a @ x - b||_F`` returns the one of minimal
     Frobenius norm (the pseudoinverse solution).  Rank decisions use the
-    relative cutoff ``rcond``; rank-deficient and underdetermined systems are
-    the expected case and never raise.
+    relative cutoff ``RANK_TOL``; rank-deficient and underdetermined systems
+    are the expected case and never raise.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
-    x, *_ = np.linalg.lstsq(a, b, rcond=rcond)
+    x, *_ = np.linalg.lstsq(a, b, rcond=RANK_TOL)
     return x
 
 
-def numerical_rank(m, tol=RANK_TOL):
-    """Number of singular values exceeding ``tol`` times the largest one."""
+def numerical_rank(m):
+    """Number of singular values exceeding ``RANK_TOL`` times the largest one."""
     m = as_matrix(m)
-    if tol < 0:
-        raise ValueError("rank tolerance must be nonnegative")
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
 def eigenvalues(m):

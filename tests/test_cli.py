@@ -139,6 +139,13 @@ class TestExperimentCommand:
         assert main(["experiment", path, "--set", "9=0.01"]) == 2
         assert "outside" in capsys.readouterr().err
 
+    def test_merging_groups_exit_1(self, tmp_path, capsys):
+        path = write_segre(tmp_path, [(0.0, [2]), (1e-9, [1]), (2.0, [1])])
+        assert main(["experiment", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "perturbed eigenvalue groups 1 and 2" in captured.err
+
 
 class TestRecoverCommand:
     def test_zero_perturbation_file(self, tmp_path, capsys):

@@ -106,6 +106,16 @@ class TestPerturbationExperiment:
         with pytest.raises(ValueError, match="outside"):
             perturbation_experiment(SegreStructure([(0.0, [2])]), {3: 1e-2})
 
+    @pytest.mark.parametrize("blocks", [
+        [(0.0, [2]), (1e-9, [1]), (2.0, [1])],
+        [(0.0, [1]), (1e-12, [1]), (2.0, [2])],
+    ])
+    def test_merging_groups_raise(self, blocks):
+        # groups closer than the clustering radius would be recovered as one
+        # eigenvalue with a merged partition
+        with pytest.raises(EigenvalueCollision, match="groups 1 and 2"):
+            perturbation_experiment(SegreStructure(blocks), {})
+
 
 class TestTransportPerturbation:
     def test_bridge_transports_to_shifted_eigenvalue(self):
@@ -254,7 +264,12 @@ def test_perturbation_experiment_matches_exact_oracle():
         exact, gap = exact_experiment(structure, numerators)
         values = {p: k / VALUE_DENOMINATOR for p, k in numerators.items()}
         try:
-            recovered = perturbation_experiment(structure, values)
+            results = [perturbation_experiment(structure, values)]
+            if len(structure.blocks) > 1:
+                # the bundle does not depend on the eigenvalue values, so
+                # both transported sides must match the exact multiset too
+                results += transport_perturbation(
+                    structure, [eig + 10 for eig, _ in structure.blocks], values)
         except InconsistentRanks:
             hypothesis.event("inconclusive")  # an honest refusal
             return
@@ -264,7 +279,8 @@ def test_perturbation_experiment_matches_exact_oracle():
             # test_close_simple_eigenvalues_not_read_as_a_chain
             hypothesis.event("distinct eigenvalues within the clustering radius")
             return
-        assert partition_multiset(recovered) == exact
+        for recovered in results:
+            assert partition_multiset(recovered) == exact
 
     check()
 

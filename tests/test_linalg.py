@@ -156,17 +156,13 @@ class TestMinNormLeastSquares:
 
 class TestNumericalRank:
     def test_zero(self):
-        assert numerical_rank(np.zeros((3, 4)), 1e-10) == 0
+        assert numerical_rank(np.zeros((3, 4))) == 0
 
     def test_identity(self):
-        assert numerical_rank(np.eye(5), 1e-10) == 5
+        assert numerical_rank(np.eye(5)) == 5
 
     def test_tiny_singular_value_dropped(self):
-        assert numerical_rank([[1.0, 0.0], [0.0, 1e-14]], 1e-10) == 1
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), -1.0)
+        assert numerical_rank([[1.0, 0.0], [0.0, 1e-14]]) == 1
 
 
 class TestEigenvalues:
