@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .codimension import bundle_codim, orbit_codim
 from .deformation import arnold_pattern, instantiate
 from .errors import EigenvalueCollision, SizeMismatch
 from .jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SegreStructure,
                      cluster_radius, recover_structure)
-from .linalg import eigenvalues
+from .linalg import MAX_ORDER, eigenvalues
 
 
 class ClosureMode(Enum):
@@ -90,6 +92,7 @@ def _filled_values(pattern, values):
     return out
 
 
+@np.errstate(over="raise", invalid="raise")
 def perturbation_experiment(structure, values,
                             cluster_tol=DEFAULT_CLUSTER_TOL,
                             rank_tol=DEFAULT_RANK_TOL):
@@ -102,16 +105,30 @@ def perturbation_experiment(structure, values,
 
     Raises
     ------
+    ValueError
+        If ``structure.total_size`` exceeds ``linalg.MAX_ORDER``, before any
+        matrix is built, or if the values are so large that structure
+        recovery overflows.
     EigenvalueCollision
         If perturbed eigenvalues of distinct groups come within the
         clustering radius of each other.
     """
+    if structure.total_size > MAX_ORDER:
+        raise ValueError(
+            f"matrix order {structure.total_size} exceeds cap {MAX_ORDER}")
     pattern = arnold_pattern(structure)
     perturbed = instantiate(pattern, _filled_values(pattern, values))
-    if len(structure.blocks) > 1:
-        _check_group_separation(perturbed, structure,
-                                cluster_radius(perturbed, cluster_tol))
-    return recover_structure(perturbed, cluster_tol, rank_tol)
+    # values far above the structure's scale overflow the clustering radius
+    # or the rank cutoffs; the errstate above raises there instead of
+    # computing on with inf
+    try:
+        if len(structure.blocks) > 1:
+            _check_group_separation(perturbed, structure,
+                                    cluster_radius(perturbed, cluster_tol))
+        return recover_structure(perturbed, cluster_tol, rank_tol)
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(
+            f"parameter values overflow the structure recovery: {exc}") from exc
 
 
 def _check_group_separation(m, structure, threshold):

@@ -22,9 +22,6 @@ from .linalg import as_matrix, eigenvalues
 DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_RANK_TOL = 1e-8
 
-# Structure recovery is capped at this order (rank counts of n powers).
-MAX_RECOVERY_ORDER = 16
-
 
 def _block_size(k):
     # 2.7 and "3" are rejected, not converted; bool is an int subclass
@@ -195,6 +192,9 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
 
     Raises
     ------
+    ValueError
+        From :func:`~versal.linalg.eigenvalues`, if ``m`` is not square or
+        its order exceeds ``linalg.MAX_ORDER``.
     InconsistentRanks
         If a cluster's rank sequence is not weakly decreasing or does not
         account for the cluster multiplicity; the tolerances do not fit the
@@ -202,11 +202,6 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
     """
     m = as_matrix(m)
     n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"structure recovery needs a square matrix, got {m.shape}")
-    if n > MAX_RECOVERY_ORDER:
-        raise ValueError(f"matrix order {n} exceeds cap {MAX_RECOVERY_ORDER}")
-
     clusters = _cluster(eigenvalues(m), cluster_radius(m, cluster_tol))
 
     eye = np.eye(n, dtype=complex)

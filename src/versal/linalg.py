@@ -19,8 +19,9 @@ SINGULAR_TOL = 1e-14
 # Relative cutoff for numerical-rank decisions.
 RANK_TOL = 1e-10
 
-# Hard cap on the dense eigensolver; everything in this package is desk scale.
-MAX_EIGEN_ORDER = 32
+# Desk-scale limit on the order of every matrix whose spectrum or Jordan
+# structure is computed, and on recover's linearization order d*n.
+MAX_ORDER = 16
 
 
 def as_matrix(values):
@@ -119,19 +120,21 @@ def numerical_rank(m):
 def eigenvalues(m):
     """All eigenvalues of a square matrix, with multiplicity.
 
-    Backed by a dense QR iteration; accepts orders up to
-    ``MAX_EIGEN_ORDER``.  Order of the returned values is not specified.
+    Backed by a dense QR iteration.  Order of the returned values is not
+    specified.
 
     Raises
     ------
+    ValueError
+        If ``m`` is not square or its order exceeds ``linalg.MAX_ORDER``.
     NoConvergence
         If the underlying iteration fails to converge.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigenvalues need a square matrix, got {m.shape}")
-    if m.shape[0] > MAX_EIGEN_ORDER:
-        raise ValueError(f"matrix order {m.shape[0]} exceeds cap {MAX_EIGEN_ORDER}")
+    if m.shape[0] > MAX_ORDER:
+        raise ValueError(f"matrix order {m.shape[0]} exceeds cap {MAX_ORDER}")
     try:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import versal
-from versal import SegreStructure, build_jcf, files
+from versal import SegreStructure, build_jcf, codimension, files
 from versal.cli import main
 from versal.jordan import jordan_block
 
@@ -64,6 +64,15 @@ class TestCodimCommand:
         assert main(["codim", path, "--oracle"]) == 0
         out = capsys.readouterr().out
         assert "oracle=6" in out and "oracle_agrees=yes" in out
+
+    def test_oracle_disagreement_exit_1(self, tmp_path, capsys, monkeypatch):
+        path = write_segre(tmp_path, [(0.0, [2, 1]), (1.0, [1])])
+        monkeypatch.setattr(codimension, "orbit_codim_oracle",
+                            lambda s: codimension.orbit_codim(s) + 1)
+        assert main(["codim", path, "--oracle"]) == 1
+        captured = capsys.readouterr()
+        assert "oracle=7" in captured.out and "oracle_agrees=no" in captured.out
+        assert "commutator nullity disagrees" in captured.err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -146,6 +155,24 @@ class TestExperimentCommand:
         assert captured.out == ""
         assert "perturbed eigenvalue groups 1 and 2" in captured.err
 
+    def test_cluster_tolerance_flag_merges_groups(self, tmp_path, capsys):
+        # a radius of 10 * ||A||_F covers the gap between 0 and 1
+        path = write_segre(tmp_path, [(0.0, [2]), (1.0, [1])])
+        assert main(["experiment", path, "--set", "1=0.01",
+                     "--tol-cluster", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "perturbed eigenvalue groups 1 and 2" in captured.err
+
+    def test_overflowing_value_exit_2(self, tmp_path, capsys):
+        # ||A||_F and the rank cutoffs overflow; one error line, no traceback
+        path = write_segre(tmp_path, [(0.0, [3])])
+        assert main(["experiment", path, "--set", "1=1e160"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestRecoverCommand:
     def test_zero_perturbation_file(self, tmp_path, capsys):
@@ -192,6 +219,32 @@ class TestRecoverCommand:
         residuals = [float(line.split("=")[1]) for line in out.splitlines()
                      if line.startswith("residual[")]
         assert residuals == sorted(residuals, reverse=True)
+
+    def test_iteration_budget_exhausted_exit_1(self, tmp_path, capsys):
+        poly = str(FIXTURES / "poly_d2n2.json")
+        assert main(["recover", poly, "--random-seed", "1", "--norm", "1e-4",
+                     "--max-iter", "0",
+                     "--out-poly", str(tmp_path / "rec.json"),
+                     "--out-transform", str(tmp_path / "s.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "residual[1]=8.399025e-05",
+            "error: unstructured norm 8.399e-05 > 1e-12 after 0 sweeps"]
+        assert not (tmp_path / "rec.json").exists()
+
+    def test_loose_tolerance_fails_the_checks(self, tmp_path, capsys):
+        # tol 1e-3 accepts the unreduced input, which the similarity check
+        # then rejects
+        poly = str(FIXTURES / "poly_d2n2.json")
+        assert main(["recover", poly, "--random-seed", "1", "--norm", "1e-4",
+                     "--tol", "1e-3",
+                     "--out-poly", str(tmp_path / "rec.json"),
+                     "--out-transform", str(tmp_path / "s.json")]) == 1
+        captured = capsys.readouterr()
+        assert "iterations=0" in captured.out
+        assert "similarity_residual=8.399025e-05 (FAIL)" in captured.out
+        assert captured.err == "error: recovery checks failed\n"
 
     def test_missing_perturbation_source(self, tmp_path, capsys):
         poly = str(FIXTURES / "poly_d2n2.json")

@@ -6,6 +6,7 @@ from versal import (ClosureMode, ClosureReason, EigenvalueCollision,
                     arnold_pattern, bundle_codim, closure_necessary,
                     conjugate_partition, orbit_codim, perturbation_experiment,
                     transport_perturbation)
+from versal import closure
 from versal.jordan import DEFAULT_CLUSTER_TOL
 
 from conftest import partition_multiset, partitions
@@ -170,6 +171,23 @@ class TestTransportPerturbation:
             transport_perturbation(SegreStructure([(0.0, [2])]), [1.0, 2.0], {})
 
 
+@pytest.mark.parametrize("blocks", [[(0.0, [17])], [(0.0, [2000])],
+                                    [(0.0, [1000]), (1.0, [1000])]],
+                         ids=["17", "2000", "1000+1000"])
+def test_order_cap_checked_before_any_matrix(blocks, monkeypatch):
+    def instantiate(*args):
+        raise AssertionError("instantiate ran on an oversized structure")
+
+    monkeypatch.setattr(closure, "instantiate", instantiate)
+    structure = SegreStructure(blocks)
+    message = f"matrix order {structure.total_size} exceeds cap 16"
+    with pytest.raises(ValueError, match=message):
+        perturbation_experiment(structure, {})
+    with pytest.raises(ValueError, match=message):
+        transport_perturbation(
+            structure, [eig + 10 for eig in structure.eigenvalues], {})
+
+
 # Pattern values are k / 2**20 with 1049 <= k <= 104857: magnitudes in
 # 1e-3..1e-1, exact in double precision, so the numerical experiment and the
 # exact oracle perturb the same matrix.
@@ -300,3 +318,19 @@ def test_close_simple_eigenvalues_not_read_as_a_chain():
     except InconsistentRanks:
         return
     assert partition_multiset(recovered) == ((1,), (1,), (1,), (2,))
+
+
+@pytest.mark.xfail(strict=True, reason="x^3 = 1e12 has three simple roots "
+                   "1.7e4 apart, but the clustering radius 1e-6 * ||A||_F "
+                   "merges them and the rank cutoff 1e-8 * ||A||_2 reads "
+                   "blocks [2, 1], a wrong structure returned without an "
+                   "error")
+def test_large_value_roots_not_read_as_a_chain():
+    # the bottom-left star of J_3(0) set to 1e12 gives the companion matrix
+    # of x^3 - 1e12; near 3e9 for a 3-block the roots merge into one cluster
+    try:
+        recovered = perturbation_experiment(SegreStructure([(0.0, [3])]),
+                                            {1: 1e12})
+    except InconsistentRanks:
+        return
+    assert partition_multiset(recovered) == ((1,), (1,), (1,))

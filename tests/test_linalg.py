@@ -198,5 +198,6 @@ class TestEigenvalues:
             eigenvalues(np.zeros((2, 3)))
 
     def test_order_cap(self):
-        with pytest.raises(ValueError):
-            eigenvalues(np.eye(33))
+        for order in (17, 33):
+            with pytest.raises(ValueError):
+                eigenvalues(np.eye(order))

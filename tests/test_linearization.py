@@ -10,7 +10,7 @@ from versal import (DimensionMismatch, MaxIterationsExceeded, MonicPolynomial,
                     eigenvalues, frobenius_norm, linearization, recover,
                     solve_linear, split)
 
-from conftest import eigen_match_distance, random_complex
+from conftest import conditioned_matrix, eigen_match_distance, random_complex
 
 # every (d, n) up to the linearization order cap
 SHAPES = [(d, n) for d in range(1, linearization.MAX_ORDER + 1)
@@ -204,12 +204,16 @@ class TestRecover:
         assert len(info.value.residual_trace) == 1
 
     def test_oversized_perturbation_raises_not_returns(self):
-        rng = np.random.default_rng(12)
-        p = random_polynomial(rng, 2, 2)
-        e1 = random_perturbation(rng, 4, 50.0)
-        with pytest.raises((MaxIterationsExceeded, StagnationDetected,
-                            SingularTransform)):
-            recover(p, e1)
+        # from about 1e60 on the iteration overflows: it must still leave
+        # through a documented exception that carries its residual trace
+        for norm in (50.0, 1e60, 1e150):
+            rng = np.random.default_rng(12)
+            p = random_polynomial(rng, 2, 2)
+            e1 = random_perturbation(rng, 4, norm)
+            with pytest.raises((MaxIterationsExceeded, StagnationDetected,
+                                SingularTransform)) as info:
+                recover(p, e1)
+            assert info.value.residual_trace
 
     @pytest.mark.parametrize("d, n", [(2, 8), (4, 4), (8, 2), (16, 1)])
     def test_returned_result_meets_a_tight_tolerance(self, d, n):
@@ -291,7 +295,9 @@ def mp_commutator_step(m, unstructured, d, n, mpmath):
     the normal equations ``Y @ G = -B`` of the fit, where
     ``G = sum_j m^j (m^j)^H`` and ``B = sum_k R_k (m^(d-1-k))^H``, and the
     other rows follow by the recursion.  Squaring the condition of the
-    powers (~1e7 at dn = 16) still leaves about 45 correct digits.
+    powers (~1e7 at (16, 1)) still leaves about 45 correct digits; at
+    (8, 2) with coefficients of condition 1e8 the powers reach ~1e28, and
+    there 60 and 150 digits still agree to 4e-14 relative.
     """
     big = d * n
     with mpmath.workdps(60):
@@ -323,10 +329,14 @@ def mp_commutator_step(m, unstructured, d, n, mpmath):
         return np.vstack(rows[::-1]).astype(complex)
 
 
-def step_case(seed, d, n):
-    """A commutator step at a random companion matrix, as recover meets it."""
+def step_case(seed, d, n, cond=None):
+    """A commutator step at a random companion matrix, as recover meets it.
+
+    With ``cond``, each coefficient's singular values span that ratio.
+    """
     rng = np.random.default_rng(seed)
-    p = MonicPolynomial([random_complex(rng, n, n) for _ in range(d)])
+    p = MonicPolynomial([random_complex(rng, n, n) if cond is None
+                         else conditioned_matrix(rng, n, cond) for _ in range(d)])
     c = companion(p)
     structured, unstructured = split(
         random_perturbation(rng, d * n, 1e-4 * frobenius_norm(c)), d, n)
@@ -383,14 +393,24 @@ def test_structured_step_matches_kron_oracle(d, n):
     check()
 
 
-# each bound is 8-9x the worst forward error measured over seeds 0-23
-# (3.3e-11 at (16, 1), 1.3e-13 at (8, 2)); the error grows with the
-# condition of the stacked powers, so a fit that loses digits shows here
-@pytest.mark.parametrize("d, n, bound", [(16, 1, 3e-10), (8, 2, 1e-12)])
+# each bound is 8-10x the worst forward error measured over seeds 0-23
+# (3.3e-11 at (16, 1), 1.3e-13 at (8, 2); with conditioned coefficients
+# 1.2e-4 and 9.4e7 at (8, 2), 2.5e-12 and 3.1e-8 at (4, 4), for cond 1e4
+# and 1e8).  The error grows with the condition of the stacked powers, so a
+# fit that loses digits shows here; at (8, 2) with cond 1e8 the step has no
+# correct digit, and that bound only pins it until the fit is replaced
+@pytest.mark.parametrize("d, n, cond, bound", [
+    pytest.param(16, 1, None, 3e-10, id="16-1-3e-10"),
+    pytest.param(8, 2, None, 1e-12, id="8-2-1e-12"),
+    pytest.param(8, 2, 1e4, 1e-3, id="8-2-cond1e4-1e-3"),
+    pytest.param(8, 2, 1e8, 8e8, id="8-2-cond1e8-8e8"),
+    pytest.param(4, 4, 1e4, 2.5e-11, id="4-4-cond1e4-2.5e-11"),
+    pytest.param(4, 4, 1e8, 3e-7, id="4-4-cond1e8-3e-7"),
+])
 @pytest.mark.parametrize("seed", range(4))
-def test_structured_step_matches_60_digit_solution(seed, d, n, bound):
+def test_structured_step_matches_60_digit_solution(seed, d, n, cond, bound):
     mpmath = pytest.importorskip("mpmath")
-    m, unstructured = step_case(seed, d, n)
+    m, unstructured = step_case(seed, d, n, cond)
     oracle = mp_commutator_step(m, unstructured, d, n, mpmath)
     x = linearization._solve_commutator_step(m, unstructured, d, n)
     assert np.linalg.norm(x - oracle) <= bound * np.linalg.norm(oracle)
