@@ -17,7 +17,7 @@ import numpy as np
 
 from . import closure, codimension, deformation, files, jordan, linearization
 from .errors import VersalError
-from .linalg import eigenvalues, frobenius_norm
+from .linalg import MAX_ORDER, eigenvalues, frobenius_norm
 
 EIGEN_MATCH_TOL = 1e-8
 CHARPOLY_CHECK_TOL = 1e-10
@@ -74,6 +74,9 @@ def _eigen_match(a, b):
 
 def cmd_jcf(args):
     structure = files.load_segre(args.structure)
+    if structure.total_size > MAX_ORDER:
+        raise ValueError(
+            f"matrix order {structure.total_size} exceeds cap {MAX_ORDER}")
     matrix = jordan.build_jcf(structure)
     for row in matrix:
         print(" ".join(_format_complex(z) for z in row))

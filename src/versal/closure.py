@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .codimension import bundle_codim, orbit_codim
 from .deformation import arnold_pattern, instantiate
 from .errors import EigenvalueCollision, SizeMismatch
 from .jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SegreStructure,
-                     cluster_radius, recover_structure)
-from .linalg import MAX_ORDER, eigenvalues
+                     _recover_groups)
+from .linalg import MAX_ORDER
 
 
 class ClosureMode(Enum):
@@ -92,7 +90,6 @@ def _filled_values(pattern, values):
     return out
 
 
-@np.errstate(over="raise", invalid="raise")
 def perturbation_experiment(structure, values,
                             cluster_tol=DEFAULT_CLUSTER_TOL,
                             rank_tol=DEFAULT_RANK_TOL):
@@ -102,6 +99,14 @@ def perturbation_experiment(structure, values,
     omitted parameters stay zero.  The handful of pattern parameters stands
     in for a full dense perturbation, which is what makes these experiments
     cheap.
+
+    The pattern never couples distinct eigenvalues, so the perturbed matrix
+    is block diagonal by eigenvalue group, and each group's block is
+    recovered on its own: one eigensolve per group, which also serves the
+    separation check, and rank SVDs at the group's order.  Clustering uses
+    the radius of :func:`~versal.jordan.recover_structure` on the whole
+    matrix, ``cluster_tol * max(1, ||A||_F)``; the rank cutoffs use the
+    group block's own scale, ``rank_tol * ||B - mu*I||_2**j``.
 
     Raises
     ------
@@ -118,32 +123,9 @@ def perturbation_experiment(structure, values,
             f"matrix order {structure.total_size} exceeds cap {MAX_ORDER}")
     pattern = arnold_pattern(structure)
     perturbed = instantiate(pattern, _filled_values(pattern, values))
-    # values far above the structure's scale overflow the clustering radius
-    # or the rank cutoffs; the errstate above raises there instead of
-    # computing on with inf
-    try:
-        if len(structure.blocks) > 1:
-            _check_group_separation(perturbed, structure,
-                                    cluster_radius(perturbed, cluster_tol))
-        return recover_structure(perturbed, cluster_tol, rank_tol)
-    except (FloatingPointError, OverflowError) as exc:
-        raise ValueError(
-            f"parameter values overflow the structure recovery: {exc}") from exc
-
-
-def _check_group_separation(m, structure, threshold):
-    # the pattern never couples distinct eigenvalues, so the perturbed matrix
-    # is block diagonal and each group's spectrum can be read off its block
     groups = [slice(starts[0], starts[0] + sum(sizes))
               for (_, sizes), starts in zip(structure.blocks, structure.block_starts())]
-    spectra = [eigenvalues(m[group, group]) for group in groups]
-    for i in range(len(spectra)):
-        for j in range(i + 1, len(spectra)):
-            gap = abs(spectra[i][:, None] - spectra[j]).min()
-            if gap <= threshold:
-                raise EigenvalueCollision(
-                    f"perturbed eigenvalue groups {i + 1} and {j + 1} come "
-                    f"within {gap:.3e} of each other")
+    return _recover_groups(perturbed, groups, cluster_tol, rank_tol)
 
 
 def transport_perturbation(structure, replacement_eigenvalues, values,

@@ -136,7 +136,10 @@ def instantiate(pattern, values):
         raise MissingParameter(f"no value for parameter(s) {missing}")
     out = build_jcf(pattern.base)
     for row, col, param in pattern.stars:
-        out[row - 1, col - 1] += supplied[param]
+        # a zero value is skipped: build_jcf holds no -0.0, so adding it
+        # would leave the entry as it is
+        if supplied[param]:
+            out[row - 1, col - 1] += supplied[param]
     return out
 
 

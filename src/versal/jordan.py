@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentRanks
+from .errors import EigenvalueCollision, InconsistentRanks
 from .linalg import as_matrix, eigenvalues
 
 # Defaults sized for perturbations well above roundoff (>= 1e-4 or so).
@@ -151,7 +151,7 @@ def weyr_to_segre(weyr):
 
 
 def _cluster(values, threshold):
-    """Single-linkage clusters under transitive closure of the distance bound."""
+    """Index lists of single-linkage clusters under the distance bound."""
     values = list(values)
     parent = list(range(len(values)))
 
@@ -167,8 +167,8 @@ def _cluster(values, threshold):
                 parent[find(i)] = find(j)
 
     groups = {}
-    for i, v in enumerate(values):
-        groups.setdefault(find(i), []).append(v)
+    for i in range(len(values)):
+        groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
@@ -194,28 +194,62 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
     ------
     ValueError
         From :func:`~versal.linalg.eigenvalues`, if ``m`` is not square or
-        its order exceeds ``linalg.MAX_ORDER``.
+        its order exceeds ``linalg.MAX_ORDER``; or if the entries are so
+        large that the clustering radius or the rank cutoffs overflow.
     InconsistentRanks
         If a cluster's rank sequence is not weakly decreasing or does not
         account for the cluster multiplicity; the tolerances do not fit the
         input in that case.
     """
-    m = as_matrix(m)
-    n = m.shape[0]
-    clusters = _cluster(eigenvalues(m), cluster_radius(m, cluster_tol))
+    return _recover_groups(as_matrix(m), [slice(None)], cluster_tol, rank_tol)
 
-    eye = np.eye(n, dtype=complex)
-    blocks = []
-    for cluster in clusters:
-        mu = complex(np.mean(cluster))
-        mult = len(cluster)
-        power = shifted = m - mu * eye
+
+@np.errstate(over="raise", invalid="raise")
+def _recover_groups(m, groups, cluster_tol, rank_tol):
+    # m is block diagonal over the index slices in groups: each diagonal
+    # block is eigensolved and rank-tested on its own, at its own order,
+    # while the clustering radius stays the whole matrix's. Entries far
+    # above the matrix's scale overflow the radius or the rank cutoffs; the
+    # errstate raises there instead of computing on with inf
+    try:
+        radius = cluster_radius(m, cluster_tol)
+        spectra = []
+        for group in groups:
+            block = m[group, group]
+            spectrum = eigenvalues(block)
+            for i, (_, earlier) in enumerate(spectra):
+                gap = abs(earlier[:, None] - spectrum).min()
+                if gap <= radius:
+                    raise EigenvalueCollision(
+                        f"perturbed eigenvalue groups {i + 1} and "
+                        f"{len(spectra) + 1} come within {gap:.3e} of each other")
+            spectra.append((block, spectrum))
+        blocks = [found for block, spectrum in spectra
+                  for found in _segre_blocks(block, spectrum, radius, rank_tol)]
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValueError(
+            f"matrix entries overflow the structure recovery: {exc}") from exc
+    blocks.sort(key=lambda item: (item[0].real, item[0].imag))
+    return SegreStructure(blocks)
+
+
+def _segre_blocks(block, spectrum, radius, rank_tol):
+    # (mu, sizes) per cluster of spectrum, the eigenvalues of block; ranks
+    # are cut at rank_tol * ||block - mu*I||_2**j
+    n = block.shape[0]
+    found = []
+    for members in _cluster(spectrum, radius):
+        mult = len(members)
+        mu = complex(np.add.reduce(spectrum[members]) / mult)
+        shifted = block.copy()
+        shifted.flat[::n + 1] -= mu
+        power = shifted
         weyr = []
         prev_rank = n
         for j in range(1, mult + 1):
             singular = np.linalg.svd(power, compute_uv=False)
             if j == 1:
-                scale = float(singular[0])  # ||m - mu*I||_2
+                scale = float(singular[0])  # ||block - mu*I||_2
             rank = int(np.count_nonzero(singular > rank_tol * scale ** j))
             step = prev_rank - rank
             if step <= 0:
@@ -230,7 +264,5 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
             raise InconsistentRanks(
                 f"rank sequence near {mu:.6g} yields Weyr {tuple(weyr)} for "
                 f"multiplicity {mult}; tolerances do not fit this input")
-        blocks.append((mu, conjugate_partition(weyr)))
-
-    blocks.sort(key=lambda item: (item[0].real, item[0].imag))
-    return SegreStructure(blocks)
+        found.append((mu, conjugate_partition(weyr)))
+    return found

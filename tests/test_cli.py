@@ -318,10 +318,29 @@ class TestJcfCommand:
         path = write_segre(tmp_path, [(-1.0, [3]), (-2j, [2])])
         out = tmp_path / "jcf.json"
         assert main(["jcf", path, "--out", str(out)]) == 0
-        printed = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        # only the matrix rows are scanned: the last line names the output
+        # file, and a path such as .../pytest-0/... holds "-0" legitimately
+        assert lines[-1] == f"wrote {out}"
+        printed = "\n".join(lines[:-1])
         assert "-2j" in printed
         assert re.search(r"-0(?![.\d])", printed) is None
         assert "-0.0" not in out.read_text()
+
+    def test_order_cap(self, tmp_path, capsys):
+        # the one subcommand that builds a matrix without an eigensolve
+        # meets the same cap before the matrix is built
+        path = write_segre(tmp_path, [(0.0, [17])])
+        assert main(["jcf", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix order 17 exceeds cap 16\n"
+
+    def test_order_at_cap_prints(self, tmp_path, capsys):
+        path = write_segre(tmp_path, [(0.0, [16])])
+        assert main(["jcf", path]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 16 and all(len(row.split()) == 16 for row in rows)
 
 
 def segre_doc(eigenvalue=(0.0, 0.0), sizes=(2,)):

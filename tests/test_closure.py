@@ -1,13 +1,16 @@
+import cmath
+
 import numpy as np
 import pytest
 
 from versal import (ClosureMode, ClosureReason, EigenvalueCollision,
                     InconsistentRanks, SegreStructure, SizeMismatch,
                     arnold_pattern, bundle_codim, closure_necessary,
-                    conjugate_partition, orbit_codim, perturbation_experiment,
+                    conjugate_partition, instantiate, orbit_codim,
+                    perturbation_experiment, recover_structure,
                     transport_perturbation)
 from versal import closure
-from versal.jordan import DEFAULT_CLUSTER_TOL
+from versal.jordan import DEFAULT_CLUSTER_TOL, cluster_radius
 
 from conftest import partition_multiset, partitions
 
@@ -299,6 +302,72 @@ def test_perturbation_experiment_matches_exact_oracle():
             return
         for recovered in results:
             assert partition_multiset(recovered) == exact
+
+    check()
+
+
+def test_regrouped_block_recovered_where_whole_matrix_ranks_fail():
+    # the whole-matrix rank cutoffs, scaled by ||A - I||_2 ~ 4 with the
+    # other groups' eigenvalues -3 and -2 in it, read Weyr (1, 1, 2) for the
+    # triple eigenvalue 1; the group block's own scale reads the 3-block
+    structure = SegreStructure([(1, [3, 1]), (-3, [1]), (-2, [1])])
+    numerators = {6: 3374}
+    exact, gap = exact_experiment(structure, numerators)
+    assert exact == ((1,), (1,), (1,), (3,)) and gap > 1.0
+    values = {p: k / VALUE_DENOMINATOR for p, k in numerators.items()}
+    recovered = perturbation_experiment(structure, values)
+    assert partition_multiset(recovered) == exact
+    eig, sizes = recovered.blocks[2]
+    assert sizes == (3,) and abs(eig - 1) <= 1e-9
+
+
+def test_per_group_recovery_matches_whole_matrix_recovery():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    eigenvalues = (0, 1, -1, 1j, -1j, 2, -2, 2j, 1 + 1j)
+
+    @st.composite
+    def experiments(draw):
+        count = draw(st.integers(2, 3))
+        n = draw(st.integers(count, 16))
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=count - 1,
+                                    max_size=count - 1, unique=True)))
+        eigs = draw(st.lists(st.sampled_from(eigenvalues), min_size=count,
+                             max_size=count, unique=True))
+        blocks = []
+        for eig, lo, hi in zip(eigs, [0, *cuts], [*cuts, n]):
+            rest, sizes = hi - lo, []
+            while rest:
+                sizes.append(draw(st.integers(1, min([rest, *sizes[-1:]]))))
+                rest -= sizes[-1]
+            blocks.append((eig, sizes))
+        structure = SegreStructure(blocks)
+        params = draw(st.lists(st.integers(1, orbit_codim(structure)),
+                               min_size=1, max_size=3, unique=True))
+        values = {p: 10 ** draw(st.floats(-3, -1))
+                  * cmath.exp(1j * draw(st.floats(0, 2 * cmath.pi)))
+                  for p in params}
+        return structure, values
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(experiments())
+    def check(case):
+        structure, values = case
+        pattern = arnold_pattern(structure)
+        matrix = instantiate(pattern, {p: values.get(p, 0)
+                                       for p in range(1, orbit_codim(structure) + 1)})
+        try:
+            per_group = perturbation_experiment(structure, values)
+            whole = recover_structure(matrix)
+        except InconsistentRanks:
+            hypothesis.event("inconclusive")  # an honest refusal
+            return
+        assert partition_multiset(per_group) == partition_multiset(whole)
+        radius = cluster_radius(matrix, DEFAULT_CLUSTER_TOL)
+        for eig, sizes in per_group.blocks:
+            nearest = min(whole.blocks, key=lambda block: abs(block[0] - eig))
+            assert abs(nearest[0] - eig) <= radius and nearest[1] == sizes
 
     check()
 

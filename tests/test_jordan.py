@@ -179,3 +179,13 @@ class TestRecoverStructure:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             recover_structure(np.eye(17))
+
+    def test_overflow_raises_value_error(self):
+        # ||m||_F and the rank cutoff of the cube overflow; one ValueError,
+        # no RuntimeWarning and no raw OverflowError
+        m = build_jcf(SegreStructure([(0.0, [3])]))
+        m[2, 0] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                recover_structure(m)
