@@ -17,7 +17,7 @@ import numpy as np
 
 from . import closure, codimension, deformation, files, jordan, linearization
 from .errors import VersalError
-from .linalg import MAX_ORDER, eigenvalues, frobenius_norm
+from .linalg import check_order, eigenvalues, frobenius_norm
 
 EIGEN_MATCH_TOL = 1e-8
 CHARPOLY_CHECK_TOL = 1e-10
@@ -74,9 +74,7 @@ def _eigen_match(a, b):
 
 def cmd_jcf(args):
     structure = files.load_segre(args.structure)
-    if structure.total_size > MAX_ORDER:
-        raise ValueError(
-            f"matrix order {structure.total_size} exceeds cap {MAX_ORDER}")
+    check_order(structure.total_size)
     matrix = jordan.build_jcf(structure)
     for row in matrix:
         print(" ".join(_format_complex(z) for z in row))
@@ -129,7 +127,10 @@ def cmd_experiment(args):
         key, sep, val = item.partition("=")
         if not sep:
             raise ValueError(f"--set expects INDEX=VALUE, got {item!r}")
-        values[int(key)] = _parse_complex(val)
+        index = int(key)
+        if index in values:
+            raise ValueError(f"--set gives parameter {index} more than once")
+        values[index] = _parse_complex(val)
     before = codimension.orbit_codim(structure)
     recovered = closure.perturbation_experiment(
         structure, values, args.tol_cluster, args.tol_rank)

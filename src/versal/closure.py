@@ -19,7 +19,7 @@ from .deformation import arnold_pattern, instantiate
 from .errors import EigenvalueCollision, SizeMismatch
 from .jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SegreStructure,
                      _recover_groups)
-from .linalg import MAX_ORDER
+from .linalg import check_order
 
 
 class ClosureMode(Enum):
@@ -79,17 +79,6 @@ def closure_necessary(source, target, mode=ClosureMode.ORBIT):
     return ClosureVerdict(False, ClosureReason.CODIM_BLOCKS, src, tgt)
 
 
-def _filled_values(pattern, values):
-    count = pattern.parameter_count
-    out = {index: 0j for index in range(1, count + 1)}
-    for key, val in values.items():
-        key = int(key)
-        if not 1 <= key <= count:
-            raise ValueError(f"parameter index {key} outside 1..{count}")
-        out[key] = complex(val)
-    return out
-
-
 def perturbation_experiment(structure, values,
                             cluster_tol=DEFAULT_CLUSTER_TOL,
                             rank_tol=DEFAULT_RANK_TOL):
@@ -112,25 +101,27 @@ def perturbation_experiment(structure, values,
     ------
     ValueError
         If ``structure.total_size`` exceeds ``linalg.MAX_ORDER``, before any
-        matrix is built, or if the values are so large that structure
-        recovery overflows.
+        matrix is built; from :func:`~versal.deformation.instantiate`, if an
+        index is not a parameter of the pattern; from
+        :func:`~versal.jordan.recover_structure`, if a tolerance is out of
+        range or the values are so large that structure recovery overflows.
     EigenvalueCollision
         If perturbed eigenvalues of distinct groups come within the
         clustering radius of each other.
     """
-    if structure.total_size > MAX_ORDER:
-        raise ValueError(
-            f"matrix order {structure.total_size} exceeds cap {MAX_ORDER}")
+    check_order(structure.total_size)
     pattern = arnold_pattern(structure)
-    perturbed = instantiate(pattern, _filled_values(pattern, values))
+    # omitted parameters stay zero; a key equal to an index, such as True
+    # for 1, keeps its own type and reaches instantiate's check
+    zeros = {index: 0 for index in range(1, pattern.parameter_count + 1)
+             if index not in values}
+    perturbed = instantiate(pattern, {**values, **zeros})
     groups = [slice(starts[0], starts[0] + sum(sizes))
               for (_, sizes), starts in zip(structure.blocks, structure.block_starts())]
     return _recover_groups(perturbed, groups, cluster_tol, rank_tol)
 
 
-def transport_perturbation(structure, replacement_eigenvalues, values,
-                           cluster_tol=DEFAULT_CLUSTER_TOL,
-                           rank_tol=DEFAULT_RANK_TOL):
+def transport_perturbation(structure, replacement_eigenvalues, values):
     """Apply one pattern perturbation to a structure and its relabeling.
 
     Two :func:`perturbation_experiment` runs with the same ``values``: on
@@ -138,7 +129,8 @@ def transport_perturbation(structure, replacement_eigenvalues, values,
     ``replacement_eigenvalues`` (one per group, pairwise distinct).  Arnold
     stars depend only on the block sizes, so both get one perturbation, and
     matrices in one bundle react to it with the same partition multiset:
-    the two results must agree up to eigenvalue values.
+    the two results must agree up to eigenvalue values.  Both runs use the
+    default tolerances.
 
     Raises
     ------
@@ -159,5 +151,5 @@ def transport_perturbation(structure, replacement_eigenvalues, values,
                     f"replacement eigenvalues {i + 1} and {j + 1} coincide")
     relabeled = SegreStructure(
         [(replacements[i], sizes) for i, (_, sizes) in enumerate(structure.blocks)])
-    return tuple(perturbation_experiment(base, values, cluster_tol, rank_tol)
+    return tuple(perturbation_experiment(base, values)
                  for base in (structure, relabeled))

@@ -25,12 +25,6 @@ def orbit_codim(structure):
                for j, k in enumerate(sizes, start=1))
 
 
-def orbit_dim(structure):
-    """Dimension of the similarity orbit: ``n^2`` minus its codimension."""
-    n = structure.total_size
-    return n * n - orbit_codim(structure)
-
-
 def bundle_codim(structure):
     """Orbit codimension minus the number of distinct eigenvalues."""
     return orbit_codim(structure) - len(structure.blocks)

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import MissingParameter, PivotBreakdown
-from .jordan import build_jcf
+from .jordan import _integer, build_jcf
 from .linalg import as_matrix
 
 # Absolute pivot floor for the shifted working matrix, whose pivots are
@@ -59,10 +59,6 @@ class DeformationPattern:
     @property
     def parameter_count(self):
         return len({param for _, _, param in self.stars})
-
-    def positions(self):
-        """Set of (row, col) pairs carrying a star."""
-        return {(row, col) for row, col, _ in self.stars}
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +122,18 @@ def instantiate(pattern, values):
 
     Raises
     ------
+    ValueError
+        If an index is not an integer (``bool``, ``2.0`` and ``"4"`` are
+        rejected, not converted) or lies outside the pattern's parameters.
     MissingParameter
         If any parameter index of the pattern has no value.
     """
-    supplied = {int(k): complex(v) for k, v in values.items()}
     needed = {param for _, _, param in pattern.stars}
+    supplied = {_integer(k, "parameter indices"): complex(v)
+                for k, v in values.items()}
+    unknown = sorted(supplied.keys() - needed)
+    if unknown:
+        raise ValueError(f"parameter index {unknown[0]} outside 1..{len(needed)}")
     missing = sorted(needed - supplied.keys())
     if missing:
         raise MissingParameter(f"no value for parameter(s) {missing}")

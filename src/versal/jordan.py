@@ -1,7 +1,7 @@
 """Jordan types and numerical recovery of Jordan structure.
 
 A :class:`SegreStructure` records, per eigenvalue, the descending list of
-Jordan block sizes; a :class:`WeyrStructure` holds the conjugate partitions.
+Jordan block sizes; :func:`conjugate_partition` gives its Weyr characteristic.
 :func:`recover_structure` goes from a concrete matrix back to its Segre data
 using eigenvalue clustering followed by rank counts of shifted powers.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -23,31 +24,31 @@ DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_RANK_TOL = 1e-8
 
 
-def _block_size(k):
+def _integer(value, what):
     # 2.7 and "3" are rejected, not converted; bool is an int subclass
+    if type(value) is int:
+        return value
     try:
-        if not isinstance(k, bool):
-            return operator.index(k)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
         pass
-    raise ValueError(f"block sizes must be integers, got {k!r}")
+    raise ValueError(f"{what} must be integers, got {value!r}")
 
 
-def _validated_blocks(blocks, descending):
+def _validated_blocks(blocks):
     normalized = []
     for eig, sizes in blocks:
         eig = complex(eig)
         if not cmath.isfinite(eig):
             raise ValueError(f"eigenvalues must be finite, got {eig}")
-        sizes = tuple(_block_size(k) for k in sizes)
+        sizes = tuple(_integer(k, "block sizes") for k in sizes)
         if not sizes:
             raise ValueError("every eigenvalue needs at least one block")
         if any(k <= 0 for k in sizes):
             raise ValueError(f"block sizes must be positive, got {sizes}")
         if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-            raise ValueError(
-                f"block sizes must be descending, got {sizes}" if descending
-                else f"Weyr entries must be weakly decreasing, got {sizes}")
+            raise ValueError(f"block sizes must be descending, got {sizes}")
         normalized.append((eig, sizes))
     if not normalized:
         raise ValueError("structure needs at least one eigenvalue")
@@ -69,15 +70,11 @@ class SegreStructure:
     blocks: tuple
 
     def __init__(self, blocks):
-        object.__setattr__(self, "blocks", _validated_blocks(blocks, descending=True))
+        object.__setattr__(self, "blocks", _validated_blocks(blocks))
 
     @property
     def total_size(self):
         return sum(sum(sizes) for _, sizes in self.blocks)
-
-    @property
-    def eigenvalues(self):
-        return tuple(eig for eig, _ in self.blocks)
 
     def partitions(self):
         """Block-size partitions in listed eigenvalue order."""
@@ -95,20 +92,6 @@ class SegreStructure:
             starts.append(tuple(itertools.accumulate(sizes[:-1], initial=at)))
             at += sum(sizes)
         return tuple(starts)
-
-
-@dataclass(frozen=True)
-class WeyrStructure:
-    """Conjugate form: per eigenvalue, the weakly decreasing Weyr characteristic."""
-
-    blocks: tuple
-
-    def __init__(self, blocks):
-        object.__setattr__(self, "blocks", _validated_blocks(blocks, descending=False))
-
-    @property
-    def total_size(self):
-        return sum(sum(w) for _, w in self.blocks)
 
 
 def jordan_block(size, eigenvalue):
@@ -137,17 +120,6 @@ def conjugate_partition(sizes):
     if not sizes:
         return ()
     return tuple(sum(1 for k in sizes if k >= j) for j in range(1, max(sizes) + 1))
-
-
-def segre_to_weyr(structure):
-    """Per-eigenvalue conjugate partitions of the Jordan block sizes."""
-    return WeyrStructure([(eig, conjugate_partition(sizes))
-                          for eig, sizes in structure.blocks])
-
-
-def weyr_to_segre(weyr):
-    """Inverse of :func:`segre_to_weyr` (conjugation is an involution)."""
-    return SegreStructure([(eig, conjugate_partition(w)) for eig, w in weyr.blocks])
 
 
 def _cluster(values, threshold):
@@ -193,9 +165,11 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
     Raises
     ------
     ValueError
-        From :func:`~versal.linalg.eigenvalues`, if ``m`` is not square or
-        its order exceeds ``linalg.MAX_ORDER``; or if the entries are so
-        large that the clustering radius or the rank cutoffs overflow.
+        If ``rank_tol`` lies outside ``[0, 1)`` or ``cluster_tol`` is
+        negative or not finite; from :func:`~versal.linalg.eigenvalues`, if
+        ``m`` is not square or its order exceeds ``linalg.MAX_ORDER``; or if
+        the entries are so large that the clustering radius or the rank
+        cutoffs overflow.
     InconsistentRanks
         If a cluster's rank sequence is not weakly decreasing or does not
         account for the cluster multiplicity; the tolerances do not fit the
@@ -210,7 +184,13 @@ def _recover_groups(m, groups, cluster_tol, rank_tol):
     # block is eigensolved and rank-tested on its own, at its own order,
     # while the clustering radius stays the whole matrix's. Entries far
     # above the matrix's scale overflow the radius or the rank cutoffs; the
-    # errstate raises there instead of computing on with inf
+    # errstate raises there instead of computing on with inf.  The checks
+    # are written so that NaN fails them
+    if not 0 <= rank_tol < 1:
+        raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol}")
+    if not 0 <= cluster_tol < math.inf:
+        raise ValueError(
+            f"cluster_tol must be finite and non-negative, got {cluster_tol}")
     try:
         radius = cluster_radius(m, cluster_tol)
         spectra = []

@@ -24,6 +24,12 @@ RANK_TOL = 1e-10
 MAX_ORDER = 16
 
 
+def check_order(order):
+    """Raise ``ValueError`` if a matrix of this order exceeds ``MAX_ORDER``."""
+    if order > MAX_ORDER:
+        raise ValueError(f"matrix order {order} exceeds cap {MAX_ORDER}")
+
+
 def as_matrix(values):
     """Coerce ``values`` to a 2-D ``complex128`` matrix.
 
@@ -133,8 +139,7 @@ def eigenvalues(m):
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigenvalues need a square matrix, got {m.shape}")
-    if m.shape[0] > MAX_ORDER:
-        raise ValueError(f"matrix order {m.shape[0]} exceeds cap {MAX_ORDER}")
+    check_order(m.shape[0])
     try:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MaxIterationsExceeded, SingularMatrix,
                      SingularTransform, StagnationDetected)
-from .linalg import MAX_ORDER, as_matrix, solve_linear
+from .linalg import as_matrix, check_order, solve_linear
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
@@ -167,6 +167,9 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
     Raises
     ------
+    ValueError
+        If ``tol`` is negative or NaN or ``max_iter`` is negative, or if
+        ``d * n`` exceeds ``linalg.MAX_ORDER``.
     MaxIterationsExceeded
         If the unstructured norm stays above ``tol`` after ``max_iter``
         sweeps.
@@ -177,10 +180,13 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         If three sweeps in a row fail to bring the unstructured norm below
         its smallest value so far, or if the iteration overflows.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     d, n = poly.degree, poly.size
     big = d * n
-    if big > MAX_ORDER:
-        raise ValueError(f"linearization order {big} exceeds cap {MAX_ORDER}")
+    check_order(big)
     e = as_matrix(perturbation)
     if e.shape != (big, big):
         raise DimensionMismatch(f"perturbation must be {big}x{big}, got {e.shape}")

@@ -148,6 +148,29 @@ class TestExperimentCommand:
         assert main(["experiment", path, "--set", "9=0.01"]) == 2
         assert "outside" in capsys.readouterr().err
 
+    def test_repeated_index_exit_2(self, tmp_path, capsys):
+        # which of the two values should apply is ambiguous
+        path = write_segre(tmp_path, [(0.0, [3, 2])])
+        assert main(["experiment", path, "--set", "4=0.01", "--set", "4=0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --set gives parameter 4 more than once\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol-rank", "2"), ("--tol-rank", "1"), ("--tol-rank", "nan"),
+        ("--tol-rank", "inf"), ("--tol-cluster", "-1"),
+        ("--tol-cluster", "nan"), ("--tol-cluster", "inf"),
+    ])
+    def test_out_of_range_tolerance_exit_2(self, tmp_path, capsys, flag, value):
+        # a rank cutoff of 2 * ||B||_2 would read five 1-blocks
+        path = write_segre(tmp_path, [(0.0, [3, 2])])
+        assert main(["experiment", path, "--set", "4=0.01", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = "rank_tol" if flag == "--tol-rank" else "cluster_tol"
+        assert captured.err.startswith(f"error: {name} must")
+        assert captured.err.count("\n") == 1
+
     def test_merging_groups_exit_1(self, tmp_path, capsys):
         path = write_segre(tmp_path, [(0.0, [2]), (1e-9, [1]), (2.0, [1])])
         assert main(["experiment", path]) == 1
@@ -245,6 +268,30 @@ class TestRecoverCommand:
         assert "iterations=0" in captured.out
         assert "similarity_residual=8.399025e-05 (FAIL)" in captured.out
         assert captured.err == "error: recovery checks failed\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-iter", "-3"), ("--tol", "nan"), ("--tol", "-1e-12"),
+    ])
+    def test_invalid_stopping_rule_exit_2(self, tmp_path, capsys, flag, value):
+        poly = str(FIXTURES / "poly_d2n2.json")
+        out_poly = tmp_path / "rec.json"
+        assert main(["recover", poly, "--random-seed", "1", f"{flag}={value}",
+                     "--out-poly", str(out_poly),
+                     "--out-transform", str(tmp_path / "s.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must")
+        assert captured.err.count("\n") == 1
+        assert not out_poly.exists()
+
+    def test_order_cap(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(poly_doc(degree=17,
+                                            coefficients=[[[0.5, 0.0]]] * 17)))
+        assert main(["recover", str(path), "--random-seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix order 17 exceeds cap 16\n"
 
     def test_missing_perturbation_source(self, tmp_path, capsys):
         poly = str(FIXTURES / "poly_d2n2.json")

@@ -110,6 +110,19 @@ class TestPerturbationExperiment:
         with pytest.raises(ValueError, match="outside"):
             perturbation_experiment(SegreStructure([(0.0, [2])]), {3: 1e-2})
 
+    @pytest.mark.parametrize("key", [1.7, True, 2.0, "4"])
+    def test_non_integer_index_rejected(self, key):
+        # int() would read 1.7 and True as parameter 1
+        with pytest.raises(ValueError, match="parameter indices must be integers"):
+            perturbation_experiment(SegreStructure([(0.0, [3, 2])]), {key: 1e-2})
+
+    def test_numpy_integers_only(self):
+        s = SegreStructure([(0.0, [3, 2])])
+        assert perturbation_experiment(s, {np.int64(4): 1e-2}) == \
+            perturbation_experiment(s, {4: 1e-2}) == SegreStructure([(0.0, [5])])
+        with pytest.raises(ValueError, match="parameter indices must be integers"):
+            perturbation_experiment(s, {np.float64(4.0): 1e-2})
+
     @pytest.mark.parametrize("blocks", [
         [(0.0, [2]), (1e-9, [1]), (2.0, [1])],
         [(0.0, [1]), (1e-12, [1]), (2.0, [2])],
@@ -188,7 +201,7 @@ def test_order_cap_checked_before_any_matrix(blocks, monkeypatch):
         perturbation_experiment(structure, {})
     with pytest.raises(ValueError, match=message):
         transport_perturbation(
-            structure, [eig + 10 for eig in structure.eigenvalues], {})
+            structure, [eig + 10 for eig, _ in structure.blocks], {})
 
 
 # Pattern values are k / 2**20 with 1049 <= k <= 104857: magnitudes in

@@ -58,7 +58,7 @@ class TestAlternatePattern:
     def test_two_group_positions(self):
         p = alternate_pattern(SegreStructure([(0.0, [3, 2, 1]), (1.0, [2])]))
         assert p.parameter_count == 16
-        assert p.positions() == {
+        assert {(row, col) for row, col, _ in p.stars} == {
             (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
             (2, 4), (3, 4), (3, 5),
             (3, 6),
@@ -131,6 +131,21 @@ class TestInstantiate:
         p = arnold_pattern(SegreStructure([(0.0, [2])]))
         with pytest.raises(MissingParameter):
             instantiate(p, {1: 1.0})
+
+    def test_out_of_range_index_rejected(self):
+        # no star carries 999, so its value would set nothing
+        p = arnold_pattern(SegreStructure([(0.0, [2])]))
+        with pytest.raises(ValueError, match="^parameter index 999 outside 1..2$"):
+            instantiate(p, {1: 0.1, 2: 0.2, 999: 5.0})
+
+    @pytest.mark.parametrize("values", [
+        {1.9: 0.1, 2: 0.2}, {True: 0.1, 2: 0.2}, {1: 0.1, 2.0: 0.2},
+        {1: 0.1, "2": 0.2},
+    ], ids=["1.9", "True", "2.0", "'2'"])
+    def test_non_integer_index_rejected(self, values):
+        p = arnold_pattern(SegreStructure([(0.0, [2])]))
+        with pytest.raises(ValueError, match="parameter indices must be integers"):
+            instantiate(p, values)
 
 
 class TestReduceSingleBlock:

@@ -3,9 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from versal import (InconsistentRanks, SegreStructure, WeyrStructure,
-                    build_jcf, conjugate_partition, recover_structure,
-                    segre_to_weyr, weyr_to_segre)
+from versal import (InconsistentRanks, SegreStructure, build_jcf,
+                    conjugate_partition, recover_structure)
 from versal.jordan import jordan_block
 
 from conftest import (conditioned_matrix, partitions, structures_close,
@@ -117,11 +116,12 @@ class TestConjugation:
                 assert conjugate_partition(conjugate_partition(part)) == part
 
     def test_structure_round_trip(self):
+        # Weyr characteristics are the per-eigenvalue conjugates
         s = SegreStructure([(0.0, [4, 1]), (1.0, [3, 2])])
-        w = segre_to_weyr(s)
-        assert isinstance(w, WeyrStructure)
-        assert w.blocks == ((0.0 + 0j, (2, 1, 1, 1)), (1.0 + 0j, (2, 2, 1)))
-        assert weyr_to_segre(w) == s
+        weyr = [(eig, conjugate_partition(sizes)) for eig, sizes in s.blocks]
+        assert weyr == [(0.0 + 0j, (2, 1, 1, 1)), (1.0 + 0j, (2, 2, 1))]
+        assert SegreStructure([(eig, conjugate_partition(w))
+                               for eig, w in weyr]) == s
 
 
 class TestRecoverStructure:
@@ -179,6 +179,27 @@ class TestRecoverStructure:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             recover_structure(np.eye(17))
+
+    @pytest.mark.parametrize("tols", [
+        {"rank_tol": float("nan")}, {"rank_tol": 1.0}, {"rank_tol": 2.0},
+        {"rank_tol": -1e-8}, {"rank_tol": float("inf")},
+        {"cluster_tol": -1e-6}, {"cluster_tol": float("nan")},
+        {"cluster_tol": float("inf")},
+    ], ids=lambda tols: "=".join(map(str, *tols.items())))
+    def test_out_of_range_tolerance_rejected(self, tols):
+        # a NaN or unit rank cutoff reads J_3 + J_2 as five 1-blocks
+        m = build_jcf(SegreStructure([(0.0, [3, 2])]))
+        name = next(iter(tols))
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            recover_structure(m, **tols)
+
+    def test_tolerance_range_ends(self):
+        # 0 is accepted for both; rank_tol's range is half-open at 1
+        s = SegreStructure([(0.0, [3, 2])])
+        m = build_jcf(s)
+        assert recover_structure(m, cluster_tol=0.0, rank_tol=0.0) == s
+        with pytest.raises(ValueError, match="^rank_tol must"):
+            recover_structure(m, rank_tol=1.0)
 
     def test_overflow_raises_value_error(self):
         # ||m||_F and the rank cutoff of the cube overflow; one ValueError,

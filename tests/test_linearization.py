@@ -7,14 +7,14 @@ import pytest
 
 from versal import (DimensionMismatch, MaxIterationsExceeded, MonicPolynomial,
                     SingularTransform, StagnationDetected, companion,
-                    eigenvalues, frobenius_norm, linearization, recover,
+                    eigenvalues, frobenius_norm, linalg, linearization, recover,
                     solve_linear, split)
 
 from conftest import conditioned_matrix, eigen_match_distance, random_complex
 
 # every (d, n) up to the linearization order cap
-SHAPES = [(d, n) for d in range(1, linearization.MAX_ORDER + 1)
-          for n in range(1, linearization.MAX_ORDER // d + 1)]
+SHAPES = [(d, n) for d in range(1, linalg.MAX_ORDER + 1)
+          for n in range(1, linalg.MAX_ORDER // d + 1)]
 
 
 def random_polynomial(rng, d, n):
@@ -267,12 +267,26 @@ class TestRecover:
                 recover(p, e1, tol=1e-18)
         assert len(info.value.residual_trace) == 4
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iter": -3}, "max_iter must be non-negative, got -3"),
+        ({"tol": float("nan")}, "tol must be non-negative, got nan"),
+        ({"tol": -1e-12}, "tol must be non-negative, got -1e-12"),
+    ], ids=["max_iter=-3", "tol=nan", "tol=-1e-12"])
+    def test_invalid_stopping_rule_rejected(self, kwargs, message):
+        # no residual meets a NaN or negative tol, and no sweep count a
+        # negative budget
+        rng = np.random.default_rng(11)
+        p = random_polynomial(rng, 2, 2)
+        e1 = random_perturbation(rng, 4, 1e-4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            recover(p, e1, **kwargs)
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             recover(MonicPolynomial([np.eye(2)]), np.zeros((4, 4)))
 
     def test_order_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^matrix order 20 exceeds cap 16$"):
             recover(MonicPolynomial([np.eye(5), np.eye(5), np.eye(5), np.eye(5)]),
                     np.zeros((20, 20)))
 
