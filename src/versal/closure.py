@@ -11,14 +11,15 @@ when the perturbed eigenvalues of distinct groups merge.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 from .codimension import bundle_codim, orbit_codim
-from .deformation import arnold_pattern, instantiate
+from .deformation import _parameter_groups, arnold_pattern, instantiate
 from .errors import EigenvalueCollision, SizeMismatch
 from .jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SegreStructure,
-                     _recover_groups)
+                     _group_spans, _recover_groups)
 from .linalg import check_order
 
 
@@ -97,6 +98,16 @@ def perturbation_experiment(structure, values,
     matrix, ``cluster_tol * max(1, ||A||_F)``; the rank cutoffs use the
     group block's own scale, ``rank_tol * ||B - mu*I||_2**j``.
 
+    A group none of whose parameters has a nonzero value is unperturbed: its
+    block is exactly its base Jordan block, so its spectrum is its
+    eigenvalue repeated and it is not eigensolved; its blocks are its base
+    partition, with no rank SVDs, whenever the cluster mean of that
+    spectrum equals the eigenvalue.  The result is the one the eigensolve
+    and the rank tests give, since ``eigvals`` returns a Jordan block's
+    diagonal exactly; only a group of simple blocks with ``|eigenvalue|``
+    outside about ``1e-138 .. 1e138``, which LAPACK rescales, keeps its
+    exact eigenvalue where the eigensolve would round it.
+
     Raises
     ------
     ValueError
@@ -116,8 +127,14 @@ def perturbation_experiment(structure, values,
     zeros = {index: 0 for index in range(1, pattern.parameter_count + 1)
              if index not in values}
     perturbed = instantiate(pattern, {**values, **zeros})
-    groups = [slice(starts[0], starts[0] + sum(sizes))
-              for (_, sizes), starts in zip(structure.blocks, structure.block_starts())]
+    # instantiate skips zero values, so a group none of whose parameters is
+    # nonzero keeps exactly its base Jordan block
+    owner = _parameter_groups(structure)
+    moved = {owner[operator.index(index) - 1]
+             for index, value in values.items() if complex(value)}
+    groups = [(span, None if g in moved else sizes)
+              for g, (span, sizes) in enumerate(zip(_group_spans(structure),
+                                                    structure.partitions()))]
     return _recover_groups(perturbed, groups, cluster_tol, rank_tol)
 
 

@@ -25,13 +25,14 @@ similarity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import MissingParameter, PivotBreakdown
-from .jordan import _integer, build_jcf
+from .jordan import _block_starts, _integer, build_jcf
 from .linalg import as_matrix
 
 # Absolute pivot floor for the shifted working matrix, whose pivots are
@@ -74,43 +75,68 @@ class ReductionResult:
     transform: np.ndarray
 
 
+def _arnold_group(sizes, starts, param):
+    # Arnold stars of one eigenvalue group, parameters numbered on from param
+    stars = []
+    t = len(sizes)
+    for p in range(t):
+        bottom = starts[p] + sizes[p]
+        for q in range(p, t):
+            for c in range(sizes[q]):
+                param += 1
+                stars.append((bottom, starts[q] + c + 1, param))
+        first_col = starts[p] + 1
+        for later in range(p + 1, t):
+            for r in range(sizes[later]):
+                param += 1
+                stars.append((starts[later] + r + 1, first_col, param))
+    return stars
+
+
+def _alternate_group(sizes, starts, param):
+    # Alternate stars of one eigenvalue group, parameters numbered on from param
+    stars = []
+    t = len(sizes)
+    for p in range(t):
+        for q in range(t):
+            rows, cols = sizes[p], sizes[q]
+            low = max(rows - cols, 0)
+            for offset in range(rows - 1, low - 1, -1):
+                param += 1
+                for r in range(offset, rows):
+                    c = r - offset
+                    if c < cols:
+                        stars.append((starts[p] + r + 1, starts[q] + c + 1, param))
+    return stars
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(partitions):
+    # stars depend only on the block sizes: per partition tuple, the Arnold
+    # and Alternate star tuples and the 0-based group of each parameter
+    arnold, alternate, owner = [], [], []
+    for group, (sizes, starts) in enumerate(zip(partitions, _block_starts(partitions))):
+        arnold += _arnold_group(sizes, starts, len(owner))
+        alternate += _alternate_group(sizes, starts, len(owner))
+        owner += [group] * (arnold[-1][2] - len(owner))
+    return tuple(arnold), tuple(alternate), tuple(owner)
+
+
 def arnold_pattern(structure):
     """Arnold-shape miniversal deformation pattern of ``structure``."""
-    stars = []
-    param = 0
-    for (_, sizes), starts in zip(structure.blocks, structure.block_starts()):
-        t = len(sizes)
-        for p in range(t):
-            bottom = starts[p] + sizes[p]
-            for q in range(p, t):
-                for c in range(sizes[q]):
-                    param += 1
-                    stars.append((bottom, starts[q] + c + 1, param))
-            first_col = starts[p] + 1
-            for later in range(p + 1, t):
-                for r in range(sizes[later]):
-                    param += 1
-                    stars.append((starts[later] + r + 1, first_col, param))
-    return DeformationPattern(structure, Shape.ARNOLD, tuple(stars))
+    return DeformationPattern(structure, Shape.ARNOLD, _layout(structure.partitions())[0])
 
 
 def alternate_pattern(structure):
     """Toeplitz-diagonal miniversal pattern; parameter count matches Arnold's."""
-    stars = []
-    param = 0
-    for (_, sizes), starts in zip(structure.blocks, structure.block_starts()):
-        t = len(sizes)
-        for p in range(t):
-            for q in range(t):
-                rows, cols = sizes[p], sizes[q]
-                low = max(rows - cols, 0)
-                for offset in range(rows - 1, low - 1, -1):
-                    param += 1
-                    for r in range(offset, rows):
-                        c = r - offset
-                        if c < cols:
-                            stars.append((starts[p] + r + 1, starts[q] + c + 1, param))
-    return DeformationPattern(structure, Shape.ALTERNATE, tuple(stars))
+    return DeformationPattern(structure, Shape.ALTERNATE,
+                              _layout(structure.partitions())[1])
+
+
+def _parameter_groups(structure):
+    # entry i - 1 is the 0-based eigenvalue group of parameter i; both
+    # shapes number their parameters group by group, so one map serves both
+    return _layout(structure.partitions())[2]
 
 
 def instantiate(pattern, values):

@@ -86,12 +86,23 @@ class SegreStructure:
         Blocks sit along the diagonal in listed order, eigenvalue group by
         group, so ``zip(self.blocks, self.block_starts())`` walks the grid.
         """
-        starts = []
-        at = 0
-        for _, sizes in self.blocks:
-            starts.append(tuple(itertools.accumulate(sizes[:-1], initial=at)))
-            at += sum(sizes)
-        return tuple(starts)
+        return _block_starts(self.partitions())
+
+
+def _block_starts(partitions):
+    # SegreStructure.block_starts from the block sizes alone
+    starts = []
+    at = 0
+    for sizes in partitions:
+        starts.append(tuple(itertools.accumulate(sizes[:-1], initial=at)))
+        at += sum(sizes)
+    return tuple(starts)
+
+
+def _group_spans(structure):
+    # index slice of each eigenvalue group's diagonal block in build_jcf
+    return [slice(starts[0], starts[0] + sum(sizes))
+            for sizes, starts in zip(structure.partitions(), structure.block_starts())]
 
 
 def jordan_block(size, eigenvalue):
@@ -108,9 +119,14 @@ def build_jcf(structure):
     """Block-diagonal Jordan matrix for ``structure``, blocks in listed order."""
     n = structure.total_size
     out = np.zeros((n, n), dtype=complex)
-    for (eig, sizes), starts in zip(structure.blocks, structure.block_starts()):
-        for k, at in zip(sizes, starts):
-            out[at:at + k, at:at + k] = jordan_block(k, eig)
+    # as in jordan_block: assigned, and + 0j turns signed zero parts into +0
+    out.flat[::n + 1] = [eig + 0j for eig, sizes in structure.blocks
+                         for _ in range(sum(sizes))]
+    # the superdiagonal holds a 1 except where the next block starts
+    superdiagonal = np.ones(n - 1)
+    superdiagonal[[at - 1 for starts in structure.block_starts()
+                   for at in starts if at]] = 0.0
+    out.flat[1::n + 1] = superdiagonal
     return out
 
 
@@ -175,14 +191,19 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
         account for the cluster multiplicity; the tolerances do not fit the
         input in that case.
     """
-    return _recover_groups(as_matrix(m), [slice(None)], cluster_tol, rank_tol)
+    return _recover_groups(as_matrix(m), [(slice(None), None)], cluster_tol, rank_tol)
 
 
 @np.errstate(over="raise", invalid="raise")
 def _recover_groups(m, groups, cluster_tol, rank_tol):
-    # m is block diagonal over the index slices in groups: each diagonal
-    # block is eigensolved and rank-tested on its own, at its own order,
-    # while the clustering radius stays the whole matrix's. Entries far
+    # m is block diagonal over the index slices in groups, a list of
+    # (slice, partition) pairs: each diagonal block is eigensolved and
+    # rank-tested on its own, at its own order, while the clustering radius
+    # stays the whole matrix's.  A partition, where given, says the block is
+    # exactly the Jordan matrix of that partition at its diagonal entry: its
+    # spectrum is that entry repeated, as eigvals returns it, and when the
+    # cluster mean equals the entry the shifted block is exactly nilpotent
+    # and its ranks are the partition's, so neither is computed.  Entries far
     # above the matrix's scale overflow the radius or the rank cutoffs; the
     # errstate raises there instead of computing on with inf.  The checks
     # are written so that NaN fails them
@@ -194,18 +215,28 @@ def _recover_groups(m, groups, cluster_tol, rank_tol):
     try:
         radius = cluster_radius(m, cluster_tol)
         spectra = []
-        for group in groups:
+        for group, partition in groups:
             block = m[group, group]
-            spectrum = eigenvalues(block)
-            for i, (_, earlier) in enumerate(spectra):
+            if partition is None:
+                spectrum = eigenvalues(block)
+            else:
+                spectrum = np.full(block.shape[0], block[0, 0])
+            for i, (_, earlier, _) in enumerate(spectra):
                 gap = abs(earlier[:, None] - spectrum).min()
                 if gap <= radius:
                     raise EigenvalueCollision(
                         f"perturbed eigenvalue groups {i + 1} and "
                         f"{len(spectra) + 1} come within {gap:.3e} of each other")
-            spectra.append((block, spectrum))
-        blocks = [found for block, spectrum in spectra
-                  for found in _segre_blocks(block, spectrum, radius, rank_tol)]
+            spectra.append((block, spectrum, partition))
+        blocks = []
+        for block, spectrum, partition in spectra:
+            if partition is not None:
+                # the numeric path's mean, which can miss the entry by an ulp
+                mu = complex(np.add.reduce(spectrum) / len(spectrum))
+                if mu == block[0, 0]:
+                    blocks.append((mu, partition))
+                    continue
+            blocks.extend(_segre_blocks(block, spectrum, radius, rank_tol))
     except (FloatingPointError, OverflowError) as exc:
         raise ValueError(
             f"matrix entries overflow the structure recovery: {exc}") from exc

@@ -80,6 +80,13 @@ def solve_linear(a, b):
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
+    return _gated_solve(a, b)
+
+
+def _gated_solve(a, b):
+    # solve_linear without its validation, for callers whose a and b are
+    # finite complex arrays of matching shapes because they built them
+    #
     # sigma_min(a) >= 1 - ||a - I||_2 >= 1 - ||a - I||_F (Weyl), so within
     # 1/2 of I sigma_min >= 1/2, which exceeds SINGULAR_TOL * (sqrt(n) + 1/2)
     # >= SINGULAR_TOL * ||a||_F at every order: the gate could only pass

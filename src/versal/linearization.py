@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MaxIterationsExceeded, SingularMatrix,
                      SingularTransform, StagnationDetected)
-from .linalg import as_matrix, check_order, solve_linear
+from .linalg import _gated_solve, as_matrix, check_order
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
@@ -232,7 +232,7 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
             # rounds its unit subdiagonal to 1, which can zero the residual by
             # chance and so meet a tolerance below roundoff
             try:
-                e = solve_linear(s, original @ s - s @ c)
+                e = _gated_solve(s, original @ s - s @ c)
             except SingularMatrix as exc:
                 raise _fail(SingularTransform(str(exc))) from exc
             iterations += 1

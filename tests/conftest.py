@@ -10,7 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from versal import SegreStructure  # noqa: E402
+from versal import SegreStructure, build_jcf, numerical_rank  # noqa: E402
 
 # Fixed eigenvalue pool, already in lexicographic (real, imag) order.
 EIGENVALUE_POOL = (0.0 + 0.0j, 1.0 + 0.0j, 2.0 + 1.0j)
@@ -45,6 +45,18 @@ def structures_of_size(total, pool=EIGENVALUE_POOL):
             per_eig = [list(partitions(part)) for part in sizes]
             for combo in itertools.product(*per_eig):
                 yield SegreStructure(list(zip(pool[:count], combo)))
+
+
+def kron_commutator_nullity(structure):
+    """Nullity of ``X -> X@A - A@X`` at ``A = build_jcf``, from its dense matrix.
+
+    Reference for the group-wise oracle: the whole ``n^2 x n^2`` Kronecker
+    matrix of the map, ranked by ``numerical_rank``.
+    """
+    n = structure.total_size
+    a = build_jcf(structure)
+    eye = np.eye(n)
+    return n * n - numerical_rank(np.kron(a.T, eye) - np.kron(eye, a))
 
 
 def leverrier_charpoly(a):

@@ -9,8 +9,10 @@ from versal import (ClosureMode, ClosureReason, EigenvalueCollision,
                     conjugate_partition, instantiate, orbit_codim,
                     perturbation_experiment, recover_structure,
                     transport_perturbation)
-from versal import closure
-from versal.jordan import DEFAULT_CLUSTER_TOL, cluster_radius
+from versal import closure, jordan
+from versal.errors import VersalError
+from versal.jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, _recover_groups,
+                           cluster_radius)
 
 from conftest import partition_multiset, partitions
 
@@ -132,6 +134,97 @@ class TestPerturbationExperiment:
         # eigenvalue with a merged partition
         with pytest.raises(EigenvalueCollision, match="groups 1 and 2"):
             perturbation_experiment(SegreStructure(blocks), {})
+
+
+def numeric_experiment(structure, values, cluster_tol=DEFAULT_CLUSTER_TOL,
+                       rank_tol=DEFAULT_RANK_TOL):
+    """perturbation_experiment with every group eigensolved and rank-tested."""
+    pattern = arnold_pattern(structure)
+    matrix = instantiate(pattern, {p: values.get(p, 0)
+                                   for p in range(1, pattern.parameter_count + 1)})
+    groups = [(slice(starts[0], starts[0] + sum(sizes)), None)
+              for (_, sizes), starts in zip(structure.blocks, structure.block_starts())]
+    return _recover_groups(matrix, groups, cluster_tol, rank_tol)
+
+
+def outcome(run, *args):
+    """``repr`` of the result, or the error's type and message."""
+    try:
+        return repr(run(*args))
+    except VersalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def first_parameters(structure):
+    """Per eigenvalue group, the index of its first pattern parameter."""
+    firsts, at = [], 1
+    for eig, sizes in structure.blocks:
+        firsts.append(at)
+        at += orbit_codim(SegreStructure([(eig, sizes)]))
+    return firsts
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape[0])
+        return original(m)
+
+    original = jordan.eigenvalues
+    monkeypatch.setattr(jordan, "eigenvalues", counted)
+    return calls
+
+
+class TestUnperturbedGroups:
+    # a group none of whose parameters is nonzero is exactly its base Jordan
+    # block: it gets no eigensolve, and no rank SVDs when its cluster mean is
+    # exact, but the same result as the numeric path, byte for byte
+    @pytest.mark.parametrize("blocks", [
+        *([(0.1, sizes), (2.0, [2])] for sizes in partitions(3)),
+        # six copies of 0.1 average to 0.09999999999999999: the numeric
+        # path's rank tests run, and for all simple blocks they fail
+        [(0.1, [3, 3]), (-1.0, [1])],
+        [(0.1, [1] * 6), (-1.0, [1])],
+        [(-0.0, [2, 1]), (-2j, [1]), (1.0, [1])],
+        [(complex(-0.0, -0.0), [1, 1]), (complex(-1.0, -0.0), [2])],
+    ], ids=str)
+    @pytest.mark.parametrize("tols", [(DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL),
+                                      (0.0, 0.0), (0.5, 0.999)], ids=str)
+    def test_matches_numeric_path(self, blocks, tols, eigensolves):
+        structure = SegreStructure(blocks)
+        firsts = first_parameters(structure)
+        for moved in [None, *range(len(firsts))]:
+            values = {} if moved is None else {firsts[moved]: 1e-2}
+            eigensolves.clear()
+            hinted = outcome(perturbation_experiment, structure, values, *tols)
+            if not hinted.startswith("EigenvalueCollision"):
+                # the perturbed group's eigensolve only
+                assert len(eigensolves) == (moved is not None)
+            assert hinted == outcome(numeric_experiment, structure, values, *tols)
+
+    @pytest.mark.parametrize("value,solves", [(0, 1), (0.0j, 1), (-0.0, 1),
+                                              (1e-300, 2)])
+    def test_zero_value_leaves_group_unperturbed(self, value, solves, eigensolves):
+        structure = SegreStructure([(0.0, [3]), (1.0, [2])])
+        values = {1: value, 4: 1e-2}
+        hinted = outcome(perturbation_experiment, structure, values)
+        assert len(eigensolves) == solves
+        assert hinted == outcome(numeric_experiment, structure, values)
+
+    @pytest.mark.parametrize("blocks,values", [
+        ([(0.0, [2]), (1e-9, [1]), (3.0, [1])], {1: 1e-14}),
+        ([(1e-9, [1]), (0.0, [2]), (3.0, [1])], {2: 1e-14}),
+    ])
+    def test_collision_with_perturbed_cluster(self, blocks, values):
+        # the perturbed 2-block splits into +-1e-7, within the radius of the
+        # unperturbed eigenvalue 1e-9: the same message, the same pair order
+        structure = SegreStructure(blocks)
+        hinted = outcome(perturbation_experiment, structure, values)
+        assert hinted.startswith("EigenvalueCollision: perturbed eigenvalue "
+                                 "groups 1 and 2 come within")
+        assert hinted == outcome(numeric_experiment, structure, values)
 
 
 class TestTransportPerturbation:

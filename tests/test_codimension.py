@@ -3,7 +3,7 @@ import pytest
 from versal import (SegreStructure, bundle_codim, orbit_codim,
                     orbit_codim_oracle)
 
-from conftest import partitions, structures_of_size
+from conftest import kron_commutator_nullity, partitions, structures_of_size
 
 
 class TestOrbitCodim:
@@ -72,3 +72,53 @@ class TestOracle:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             orbit_codim_oracle(SegreStructure([(0.0, [11])]))
+
+    @pytest.mark.parametrize("pool", [
+        (0.0, 1.0, -2.0),
+        (1j, -1.0 - 1.0j, 2.0 + 0.5j),
+        # groups 1e-11 apart: a piece coupling two of them has singular
+        # values below the cutoff once a block of size 2 or more makes the
+        # largest singular value about 1, so both oracles exceed the formula
+        (0.0, 1e-11, 2e-11),
+        (1.0, 1.0 + 1e-11j, 1.0 - 1e-11),
+    ])
+    def test_group_wise_matches_dense_kron_reference(self, pool):
+        near = abs(pool[1] - pool[0]) < 1e-9
+        for n in range(1, 6):
+            for s in structures_of_size(n, pool):
+                nullity = orbit_codim_oracle(s)
+                assert nullity == kron_commutator_nullity(s), s
+                if near and len(s.blocks) > 1 and max(map(max, s.partitions())) > 1:
+                    assert nullity > orbit_codim(s), s
+                else:
+                    assert nullity == orbit_codim(s), s
+
+    def test_group_wise_matches_dense_kron_reference_random(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        eigenvalues = (0, 1, -1, 1j, -1j, 2.5, 1 + 1j, 1e-11, 1 + 1e-11j)
+
+        @st.composite
+        def structures(draw):
+            count = draw(st.integers(2, 3))
+            n = draw(st.integers(count, 10))
+            cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=count - 1,
+                                        max_size=count - 1, unique=True)))
+            eigs = draw(st.lists(st.sampled_from(eigenvalues), min_size=count,
+                                 max_size=count, unique=True))
+            blocks = []
+            for eig, lo, hi in zip(eigs, [0, *cuts], [*cuts, n]):
+                rest, sizes = hi - lo, []
+                while rest:
+                    sizes.append(draw(st.integers(1, min([rest, *sizes[-1:]]))))
+                    rest -= sizes[-1]
+                blocks.append((eig, sizes))
+            return SegreStructure(blocks)
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(structures())
+        def check(s):
+            assert orbit_codim_oracle(s) == kron_commutator_nullity(s)
+
+        check()

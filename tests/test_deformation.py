@@ -5,6 +5,7 @@ from versal import (MissingParameter, PivotBreakdown, SegreStructure, Shape,
                     alternate_pattern, arnold_pattern, build_jcf, eigenvalues,
                     frobenius_norm, instantiate, orbit_codim,
                     reduce_single_block, solve_linear)
+from versal.deformation import _layout, _parameter_groups
 from versal.jordan import jordan_block
 
 from conftest import (eigen_match_distance, leverrier_charpoly, random_complex,
@@ -99,6 +100,38 @@ class TestPatternCounts:
                 owner_col = next(i for i, (lo, hi) in enumerate(spans)
                                  if lo < col <= hi)
                 assert owner_row == owner_col
+
+
+class TestLayouts:
+    def test_pattern_base_is_the_callers_structure(self):
+        s = SegreStructure([(0.0, [2, 1]), (1.0, [2])])
+        for make in (arnold_pattern, alternate_pattern):
+            first, again = make(s), make(SegreStructure([(0.0, [2, 1]), (1.0, [2])]))
+            assert first.base is s and again.base is not s
+            assert first == again and first is not again
+
+    def test_stars_depend_on_the_partitions_only(self):
+        for n in range(1, 7):
+            for s in structures_of_size(n):
+                moved = SegreStructure([(eig * 3 - 1j, sizes) for eig, sizes in s.blocks])
+                for make in (arnold_pattern, alternate_pattern):
+                    assert make(s).stars == make(moved).stars
+                    assert make(moved).base is moved
+
+    def test_parameter_groups_own_their_stars(self):
+        for n in range(1, 7):
+            for s in structures_of_size(n):
+                owner = _parameter_groups(s)
+                assert len(owner) == orbit_codim(s)
+                ends = np.cumsum([sum(sizes) for sizes in s.partitions()])
+                for pattern in (arnold_pattern(s), alternate_pattern(s)):
+                    for row, col, param in pattern.stars:
+                        group = owner[param - 1]
+                        low = ends[group - 1] if group else 0
+                        assert low < row <= ends[group] and low < col <= ends[group]
+
+    def test_cache_is_bounded(self):
+        assert _layout.cache_info().maxsize is not None
 
 
 class TestInstantiate:

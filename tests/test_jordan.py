@@ -72,7 +72,8 @@ class TestBuildJcf:
         expected[5:7, 5:7] = jordan_block(2, mu)
         assert np.array_equal(m, expected)
 
-    @pytest.mark.parametrize("pool", [(0.0, 1.0, 2.0 + 1.0j), (-1.0, -2j, -0.5 - 0.5j)])
+    @pytest.mark.parametrize("pool", [(0.0, 1.0, 2.0 + 1.0j), (-1.0, -2j, -0.5 - 0.5j),
+                                      (-0.0, complex(-0.0, -1.0), complex(-2.0, -0.0))])
     def test_enumerated_against_per_block_product(self, pool):
         for n in range(1, 8):
             for s in structures_of_size(n, pool):
@@ -97,8 +98,10 @@ class TestBuildJcf:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             block = jordan_block(k, lam)
+            matrix = build_jcf(SegreStructure([(lam, [k, 1])]))
         assert np.all(np.diagonal(block) == lam)
         assert np.all(np.diagonal(block, 1) == 1.0)
+        assert np.array_equal(matrix[:k, :k], block)
 
 
 class TestConjugation:

@@ -262,7 +262,7 @@ class TestRecover:
         def measured(s, b):
             return lower * (next(norms) / np.linalg.norm(lower))
 
-        with mock.patch.object(linearization, "solve_linear", measured):
+        with mock.patch.object(linearization, "_gated_solve", measured):
             with pytest.raises(StagnationDetected) as info:
                 recover(p, e1, tol=1e-18)
         assert len(info.value.residual_trace) == 4
