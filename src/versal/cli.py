@@ -131,6 +131,8 @@ def cmd_experiment(args):
         if index in values:
             raise ValueError(f"--set gives parameter {index} more than once")
         values[index] = _parse_complex(val)
+    jordan._check_tolerances(args.tol_cluster, args.tol_rank,
+                             ("--tol-cluster", "--tol-rank"))
     before = codimension.orbit_codim(structure)
     recovered = closure.perturbation_experiment(
         structure, values, args.tol_cluster, args.tol_rank)

@@ -11,12 +11,11 @@ when the perturbed eigenvalues of distinct groups merge.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 from .codimension import bundle_codim, orbit_codim
-from .deformation import _parameter_groups, arnold_pattern, instantiate
+from .deformation import _deviation, _parameter_groups, _with_base, arnold_pattern
 from .errors import EigenvalueCollision, SizeMismatch
 from .jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SegreStructure,
                      _group_spans, _recover_groups)
@@ -91,63 +90,76 @@ def perturbation_experiment(structure, values,
     cheap.
 
     The pattern never couples distinct eigenvalues, so the perturbed matrix
-    is block diagonal by eigenvalue group, and each group's block is
-    recovered on its own: one eigensolve per group, which also serves the
-    separation check, and rank SVDs at the group's order.  Clustering uses
-    the radius of :func:`~versal.jordan.recover_structure` on the whole
-    matrix, ``cluster_tol * max(1, ||A||_F)``; the rank cutoffs use the
-    group block's own scale, ``rank_tol * ||B - mu*I||_2**j``.
+    is block diagonal by eigenvalue group, and each group is recovered in
+    its own coordinates: from its exact deviation block ``N + P``, the
+    nilpotent Jordan part plus the filled stars, with one eigensolve that
+    also serves the separation check and rank SVDs at the group's order.
+    Each cluster's eigenvalue is the group's eigenvalue plus the cluster's
+    local mean, rounded once.  Clustering uses the radius of
+    :func:`~versal.jordan.recover_structure` on the whole matrix,
+    ``cluster_tol * max(1, ||A||_F)``; the rank cutoffs use the deviation
+    block's own scale, ``rank_tol * ||N + P - nu*I||_2**j`` at the local
+    mean ``nu``.
 
     A group none of whose parameters has a nonzero value is unperturbed: its
-    block is exactly its base Jordan block, so its spectrum is its
-    eigenvalue repeated and it is not eigensolved; its blocks are its base
-    partition, with no rank SVDs, whenever the cluster mean of that
-    spectrum equals the eigenvalue.  The result is the one the eigensolve
-    and the rank tests give, since ``eigvals`` returns a Jordan block's
-    diagonal exactly; only a group of simple blocks with ``|eigenvalue|``
-    outside about ``1e-138 .. 1e138``, which LAPACK rescales, keeps its
-    exact eigenvalue where the eigensolve would round it.
+    deviation block is exactly nilpotent, whose spectrum ``eigvals`` returns
+    as exact zeros and whose ranks give its base partition, so the group
+    gets its base eigenvalue and partition with no eigensolve and no rank
+    SVDs.
 
     Raises
     ------
     ValueError
         If ``structure.total_size`` exceeds ``linalg.MAX_ORDER``, before any
-        matrix is built; from :func:`~versal.deformation.instantiate`, if an
-        index is not a parameter of the pattern; from
-        :func:`~versal.jordan.recover_structure`, if a tolerance is out of
-        range or the values are so large that structure recovery overflows.
+        matrix is built; if an index is not an integer or not a parameter of
+        the pattern, as in :func:`~versal.deformation.instantiate`; if a
+        tolerance is out of the range of
+        :func:`~versal.jordan.recover_structure`, or the values are so large
+        that structure recovery overflows.
     EigenvalueCollision
         If perturbed eigenvalues of distinct groups come within the
         clustering radius of each other.
+    InconsistentRanks
+        If a cluster's rank sequence does not fit its multiplicity.
     """
+    return _experiments(structure, [structure], values, cluster_tol, rank_tol)[0]
+
+
+def _experiments(structure, labelings, values, cluster_tol, rank_tol):
+    # perturbation_experiment on each of labelings, structures with
+    # structure's partitions: one deviation, one eigensolve per perturbed
+    # group and one Weyr sequence per (group, cluster) serve them all
     check_order(structure.total_size)
-    pattern = arnold_pattern(structure)
-    # omitted parameters stay zero; a key equal to an index, such as True
-    # for 1, keeps its own type and reaches instantiate's check
-    zeros = {index: 0 for index in range(1, pattern.parameter_count + 1)
-             if index not in values}
-    perturbed = instantiate(pattern, {**values, **zeros})
-    # instantiate skips zero values, so a group none of whose parameters is
-    # nonzero keeps exactly its base Jordan block
+    deviation, supplied = _deviation(arnold_pattern(structure), values)
+    # _deviation skips zero values, so a group none of whose parameters is
+    # nonzero keeps exactly its nilpotent Jordan block
     owner = _parameter_groups(structure)
-    moved = {owner[operator.index(index) - 1]
-             for index, value in values.items() if complex(value)}
+    moved = {owner[index - 1] for index, value in supplied.items() if value}
     groups = [(span, None if g in moved else sizes)
               for g, (span, sizes) in enumerate(zip(_group_spans(structure),
                                                     structure.partitions()))]
-    return _recover_groups(perturbed, groups, cluster_tol, rank_tol)
+    # each group's base is its diagonal entry in build_jcf
+    return _recover_groups(
+        deviation, groups,
+        [([eig + 0j for eig, _ in base.blocks], _with_base(deviation, base))
+         for base in labelings],
+        cluster_tol, rank_tol)
 
 
 def transport_perturbation(structure, replacement_eigenvalues, values):
     """Apply one pattern perturbation to a structure and its relabeling.
 
-    Two :func:`perturbation_experiment` runs with the same ``values``: on
-    ``structure`` and on it with its eigenvalues replaced by
-    ``replacement_eigenvalues`` (one per group, pairwise distinct).  Arnold
-    stars depend only on the block sizes, so both get one perturbation, and
-    matrices in one bundle react to it with the same partition multiset:
-    the two results must agree up to eigenvalue values.  Both runs use the
-    default tolerances.
+    The results of :func:`perturbation_experiment` with the same ``values``
+    on ``structure`` and on it with its eigenvalues replaced by
+    ``replacement_eigenvalues`` (one per group, pairwise distinct), both at
+    the default tolerances.  Arnold stars depend only on the block sizes, so
+    both get one perturbation, and matrices in one bundle react to it with
+    the same partition multiset: the two results must agree up to
+    eigenvalue values.  The two sides share their deviation blocks, so each
+    perturbed group is eigensolved and each of its clusters rank-tested
+    once for both; the first side is finished before the second, so the
+    results, and the error raised if any, are those of the two experiments
+    run one after the other.
 
     Raises
     ------
@@ -168,5 +180,5 @@ def transport_perturbation(structure, replacement_eigenvalues, values):
                     f"replacement eigenvalues {i + 1} and {j + 1} coincide")
     relabeled = SegreStructure(
         [(replacements[i], sizes) for i, (_, sizes) in enumerate(structure.blocks)])
-    return tuple(perturbation_experiment(base, values)
-                 for base in (structure, relabeled))
+    return tuple(_experiments(structure, [structure, relabeled], values,
+                              DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL))

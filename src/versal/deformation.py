@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import MissingParameter, PivotBreakdown
-from .jordan import _block_starts, _integer, build_jcf
+from .jordan import _base_diagonal, _block_starts, _integer, _nilpotent
 from .linalg import as_matrix
 
 # Absolute pivot floor for the shifted working matrix, whose pivots are
@@ -139,6 +139,34 @@ def _parameter_groups(structure):
     return _layout(structure.partitions())[2]
 
 
+def _deviation(pattern, values):
+    # instantiate without the base eigenvalues and with omitted parameters
+    # zero: the nilpotent Jordan part plus the filled stars, and the values
+    # by integer index.  The one home of the parameter-index rule
+    supplied = {_integer(k, "parameter indices"): complex(v)
+                for k, v in values.items()}
+    needed = {param for _, _, param in pattern.stars}
+    unknown = sorted(supplied.keys() - needed)
+    if unknown:
+        raise ValueError(f"parameter index {unknown[0]} outside 1..{len(needed)}")
+    out = _nilpotent(pattern.base.partitions())
+    for row, col, param in pattern.stars:
+        # a zero value is skipped: the nilpotent part holds no -0.0, so adding
+        # it would leave the entry as it is
+        if supplied.get(param):
+            out[row - 1, col - 1] += supplied[param]
+    return out, supplied
+
+
+def _with_base(deviation, structure):
+    # deviation plus structure's eigenvalues on the diagonal, the matrix that
+    # instantiate returns; adding them last gives the same entries as adding
+    # the stars to build_jcf, signed zeros included
+    out = deviation.copy()
+    out.flat[::out.shape[0] + 1] += _base_diagonal(structure)
+    return out
+
+
 def instantiate(pattern, values):
     """Base Jordan matrix plus the pattern's stars filled with ``values``.
 
@@ -154,22 +182,11 @@ def instantiate(pattern, values):
     MissingParameter
         If any parameter index of the pattern has no value.
     """
-    needed = {param for _, _, param in pattern.stars}
-    supplied = {_integer(k, "parameter indices"): complex(v)
-                for k, v in values.items()}
-    unknown = sorted(supplied.keys() - needed)
-    if unknown:
-        raise ValueError(f"parameter index {unknown[0]} outside 1..{len(needed)}")
-    missing = sorted(needed - supplied.keys())
+    deviation, supplied = _deviation(pattern, values)
+    missing = sorted({param for _, _, param in pattern.stars} - supplied.keys())
     if missing:
         raise MissingParameter(f"no value for parameter(s) {missing}")
-    out = build_jcf(pattern.base)
-    for row, col, param in pattern.stars:
-        # a zero value is skipped: build_jcf holds no -0.0, so adding it
-        # would leave the entry as it is
-        if supplied[param]:
-            out[row - 1, col - 1] += supplied[param]
-    return out
+    return _with_base(deviation, pattern.base)
 
 
 def reduce_single_block(a, eigenvalue):

@@ -115,18 +115,27 @@ def jordan_block(size, eigenvalue):
     return out
 
 
-def build_jcf(structure):
-    """Block-diagonal Jordan matrix for ``structure``, blocks in listed order."""
-    n = structure.total_size
+def _nilpotent(partitions):
+    # build_jcf at eigenvalue zero: the superdiagonal holds a 1 except where
+    # the next block starts, everything else is +0
+    n = sum(map(sum, partitions))
     out = np.zeros((n, n), dtype=complex)
-    # as in jordan_block: assigned, and + 0j turns signed zero parts into +0
-    out.flat[::n + 1] = [eig + 0j for eig, sizes in structure.blocks
-                         for _ in range(sum(sizes))]
-    # the superdiagonal holds a 1 except where the next block starts
     superdiagonal = np.ones(n - 1)
-    superdiagonal[[at - 1 for starts in structure.block_starts()
+    superdiagonal[[at - 1 for starts in _block_starts(partitions)
                    for at in starts if at]] = 0.0
     out.flat[1::n + 1] = superdiagonal
+    return out
+
+
+def _base_diagonal(structure):
+    # as in jordan_block, + 0j turns signed zero parts into +0
+    return [eig + 0j for eig, sizes in structure.blocks for _ in range(sum(sizes))]
+
+
+def build_jcf(structure):
+    """Block-diagonal Jordan matrix for ``structure``, blocks in listed order."""
+    out = _nilpotent(structure.partitions())
+    out.flat[::out.shape[0] + 1] = _base_diagonal(structure)
     return out
 
 
@@ -140,7 +149,9 @@ def conjugate_partition(sizes):
 
 def _cluster(values, threshold):
     """Index lists of single-linkage clusters under the distance bound."""
-    values = list(values)
+    # Python complex numbers: the same sums and moduli as numpy's scalars,
+    # computed faster
+    values = np.asarray(values).tolist()
     parent = list(range(len(values)))
 
     def find(i):
@@ -191,89 +202,110 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
         account for the cluster multiplicity; the tolerances do not fit the
         input in that case.
     """
-    return _recover_groups(as_matrix(m), [(slice(None), None)], cluster_tol, rank_tol)
+    m = as_matrix(m)
+    return _recover_groups(m, [(slice(None), None)], [(None, m)],
+                           cluster_tol, rank_tol)[0]
+
+
+def _check_tolerances(cluster_tol, rank_tol, names=("cluster_tol", "rank_tol")):
+    # the one range rule for both tolerances, written so that NaN fails it;
+    # names are what the message calls them
+    if not 0 <= rank_tol < 1:
+        raise ValueError(f"{names[1]} must lie in [0, 1), got {rank_tol}")
+    if not 0 <= cluster_tol < math.inf:
+        raise ValueError(
+            f"{names[0]} must be finite and non-negative, got {cluster_tol}")
 
 
 @np.errstate(over="raise", invalid="raise")
-def _recover_groups(m, groups, cluster_tol, rank_tol):
-    # m is block diagonal over the index slices in groups, a list of
-    # (slice, partition) pairs: each diagonal block is eigensolved and
-    # rank-tested on its own, at its own order, while the clustering radius
-    # stays the whole matrix's.  A partition, where given, says the block is
-    # exactly the Jordan matrix of that partition at its diagonal entry: its
-    # spectrum is that entry repeated, as eigvals returns it, and when the
-    # cluster mean equals the entry the shifted block is exactly nilpotent
-    # and its ranks are the partition's, so neither is computed.  Entries far
-    # above the matrix's scale overflow the radius or the rank cutoffs; the
-    # errstate raises there instead of computing on with inf.  The checks
-    # are written so that NaN fails them
-    if not 0 <= rank_tol < 1:
-        raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol}")
-    if not 0 <= cluster_tol < math.inf:
-        raise ValueError(
-            f"cluster_tol must be finite and non-negative, got {cluster_tol}")
+def _recover_groups(deviation, groups, labelings, cluster_tol, rank_tol):
+    # One structure per labeling of a block diagonal matrix.  groups lists a
+    # (slice, partition) pair per diagonal block of deviation; a labeling is
+    # a (bases, matrix) pair: per group the eigenvalue that its block is the
+    # deviation from (bases None: no offset, the block is the matrix's own),
+    # and the whole matrix, whose Frobenius norm sets the clustering radius.
+    # Each block is eigensolved at most once and each (group, cluster) Weyr
+    # sequence computed once for all labelings, since neither depends on the
+    # bases; a cluster's eigenvalue is its base plus its local mean, rounded
+    # once.  Labelings are finished in order, so the errors are those of
+    # one call per labeling.  A partition, where given, says the block is
+    # exactly the nilpotent Jordan matrix of that partition: eigvals returns
+    # its spectrum as exact zeros and the rank tests give the partition, so
+    # neither is computed.  Entries far above the matrix's scale overflow the
+    # radius or the rank cutoffs; the errstate raises there instead of
+    # computing on with inf
+    _check_tolerances(cluster_tol, rank_tol)
+    spectra, weyrs, structures = {}, {}, []
     try:
-        radius = cluster_radius(m, cluster_tol)
-        spectra = []
-        for group, partition in groups:
-            block = m[group, group]
-            if partition is None:
-                spectrum = eigenvalues(block)
-            else:
-                spectrum = np.full(block.shape[0], block[0, 0])
-            for i, (_, earlier, _) in enumerate(spectra):
-                gap = abs(earlier[:, None] - spectrum).min()
-                if gap <= radius:
-                    raise EigenvalueCollision(
-                        f"perturbed eigenvalue groups {i + 1} and "
-                        f"{len(spectra) + 1} come within {gap:.3e} of each other")
-            spectra.append((block, spectrum, partition))
-        blocks = []
-        for block, spectrum, partition in spectra:
-            if partition is not None:
-                # the numeric path's mean, which can miss the entry by an ulp
-                mu = complex(np.add.reduce(spectrum) / len(spectrum))
-                if mu == block[0, 0]:
-                    blocks.append((mu, partition))
+        for bases, matrix in labelings:
+            radius = cluster_radius(matrix, cluster_tol)
+            placed = []
+            for g, (span, partition) in enumerate(groups):
+                if g not in spectra:
+                    spectra[g] = (eigenvalues(deviation[span, span]) if partition is None
+                                  else np.zeros(span.stop - span.start, dtype=complex))
+                spectrum = _labeled(bases, g, spectra[g])
+                for i, earlier in enumerate(placed):
+                    gap = abs(earlier[:, None] - spectrum).min()
+                    if gap <= radius:
+                        raise EigenvalueCollision(
+                            f"perturbed eigenvalue groups {i + 1} and "
+                            f"{len(placed) + 1} come within {gap:.3e} of each other")
+                placed.append(spectrum)
+            blocks = []
+            for g, (span, partition) in enumerate(groups):
+                if partition is not None:
+                    blocks.append((_labeled(bases, g, 0j), partition))
                     continue
-            blocks.extend(_segre_blocks(block, spectrum, radius, rank_tol))
+                spectrum = spectra[g]
+                for members in _cluster(spectrum, radius):
+                    mult = len(members)
+                    local = complex(np.add.reduce(spectrum[members]) / mult)
+                    key = (g, tuple(members))
+                    if key not in weyrs:
+                        weyrs[key] = _weyr(deviation[span, span], local, mult, rank_tol)
+                    weyr = weyrs[key]
+                    mu = _labeled(bases, g, local)
+                    decreasing = all(weyr[i] >= weyr[i + 1] for i in range(len(weyr) - 1))
+                    if sum(weyr) != mult or not decreasing:
+                        raise InconsistentRanks(
+                            f"rank sequence near {mu:.6g} yields Weyr {weyr} for "
+                            f"multiplicity {mult}; tolerances do not fit this input")
+                    blocks.append((mu, conjugate_partition(weyr)))
+            blocks.sort(key=lambda item: (item[0].real, item[0].imag))
+            structures.append(SegreStructure(blocks))
     except (FloatingPointError, OverflowError) as exc:
         raise ValueError(
             f"matrix entries overflow the structure recovery: {exc}") from exc
-    blocks.sort(key=lambda item: (item[0].real, item[0].imag))
-    return SegreStructure(blocks)
+    return structures
 
 
-def _segre_blocks(block, spectrum, radius, rank_tol):
-    # (mu, sizes) per cluster of spectrum, the eigenvalues of block; ranks
-    # are cut at rank_tol * ||block - mu*I||_2**j
+def _labeled(bases, g, local):
+    # a value local to group g in a labeling's coordinates, rounded once;
+    # bases None adds nothing, so that signed zeros survive
+    return local if bases is None else bases[g] + local
+
+
+def _weyr(block, mu, mult, rank_tol):
+    # rank drops of (block - mu*I)**j, cut at rank_tol * ||block - mu*I||_2**j,
+    # until they stop or account for the cluster's multiplicity mult
     n = block.shape[0]
-    found = []
-    for members in _cluster(spectrum, radius):
-        mult = len(members)
-        mu = complex(np.add.reduce(spectrum[members]) / mult)
-        shifted = block.copy()
-        shifted.flat[::n + 1] -= mu
-        power = shifted
-        weyr = []
-        prev_rank = n
-        for j in range(1, mult + 1):
-            singular = np.linalg.svd(power, compute_uv=False)
-            if j == 1:
-                scale = float(singular[0])  # ||block - mu*I||_2
-            rank = int(np.count_nonzero(singular > rank_tol * scale ** j))
-            step = prev_rank - rank
-            if step <= 0:
-                break
-            weyr.append(step)
-            prev_rank = rank
-            if sum(weyr) >= mult:
-                break
-            power = power @ shifted
-        decreasing = all(weyr[i] >= weyr[i + 1] for i in range(len(weyr) - 1))
-        if sum(weyr) != mult or not decreasing:
-            raise InconsistentRanks(
-                f"rank sequence near {mu:.6g} yields Weyr {tuple(weyr)} for "
-                f"multiplicity {mult}; tolerances do not fit this input")
-        found.append((mu, conjugate_partition(weyr)))
-    return found
+    shifted = block.copy()
+    shifted.flat[::n + 1] -= mu
+    power = shifted
+    weyr = []
+    prev_rank = n
+    for j in range(1, mult + 1):
+        singular = np.linalg.svd(power, compute_uv=False)
+        if j == 1:
+            scale = float(singular[0])  # ||block - mu*I||_2
+        rank = int(np.count_nonzero(singular > rank_tol * scale ** j))
+        step = prev_rank - rank
+        if step <= 0:
+            break
+        weyr.append(step)
+        prev_rank = rank
+        if sum(weyr) >= mult:
+            break
+        power = power @ shifted
+    return tuple(weyr)

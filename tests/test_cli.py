@@ -167,8 +167,7 @@ class TestExperimentCommand:
         assert main(["experiment", path, "--set", "4=0.01", flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        name = "rank_tol" if flag == "--tol-rank" else "cluster_tol"
-        assert captured.err.startswith(f"error: {name} must")
+        assert captured.err.startswith(f"error: {flag} must")
         assert captured.err.count("\n") == 1
 
     def test_merging_groups_exit_1(self, tmp_path, capsys):

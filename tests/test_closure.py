@@ -5,14 +5,16 @@ import pytest
 
 from versal import (ClosureMode, ClosureReason, EigenvalueCollision,
                     InconsistentRanks, SegreStructure, SizeMismatch,
-                    arnold_pattern, bundle_codim, closure_necessary,
-                    conjugate_partition, instantiate, orbit_codim,
+                    arnold_pattern, build_jcf, bundle_codim, closure_necessary,
+                    conjugate_partition, eigenvalues, instantiate, orbit_codim,
                     perturbation_experiment, recover_structure,
                     transport_perturbation)
 from versal import closure, jordan
+from versal.deformation import _deviation, _with_base
 from versal.errors import VersalError
-from versal.jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, _recover_groups,
-                           cluster_radius)
+from versal.jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, _group_spans,
+                           _recover_groups, cluster_radius)
+from versal.linalg import MAX_ORDER
 
 from conftest import partition_multiset, partitions
 
@@ -139,12 +141,11 @@ class TestPerturbationExperiment:
 def numeric_experiment(structure, values, cluster_tol=DEFAULT_CLUSTER_TOL,
                        rank_tol=DEFAULT_RANK_TOL):
     """perturbation_experiment with every group eigensolved and rank-tested."""
-    pattern = arnold_pattern(structure)
-    matrix = instantiate(pattern, {p: values.get(p, 0)
-                                   for p in range(1, pattern.parameter_count + 1)})
-    groups = [(slice(starts[0], starts[0] + sum(sizes)), None)
-              for (_, sizes), starts in zip(structure.blocks, structure.block_starts())]
-    return _recover_groups(matrix, groups, cluster_tol, rank_tol)
+    deviation, _ = _deviation(arnold_pattern(structure), values)
+    groups = [(span, None) for span in _group_spans(structure)]
+    labeling = ([eig + 0j for eig, _ in structure.blocks],
+                _with_base(deviation, structure))
+    return _recover_groups(deviation, groups, [labeling], cluster_tol, rank_tol)[0]
 
 
 def outcome(run, *args):
@@ -177,16 +178,17 @@ def eigensolves(monkeypatch):
     return calls
 
 
+TENTH_BLOCKS = [*([(0.1, sizes), (2.0, [2])] for sizes in partitions(3)),
+                [(0.1, [3, 3]), (-1.0, [1])],
+                [(0.1, [1] * 6), (-1.0, [1])]]
+
+
 class TestUnperturbedGroups:
-    # a group none of whose parameters is nonzero is exactly its base Jordan
-    # block: it gets no eigensolve, and no rank SVDs when its cluster mean is
-    # exact, but the same result as the numeric path, byte for byte
+    # a group none of whose parameters is nonzero has an exactly nilpotent
+    # deviation block: it gets no eigensolve and no rank SVDs, but the same
+    # result as the numeric path, byte for byte
     @pytest.mark.parametrize("blocks", [
-        *([(0.1, sizes), (2.0, [2])] for sizes in partitions(3)),
-        # six copies of 0.1 average to 0.09999999999999999: the numeric
-        # path's rank tests run, and for all simple blocks they fail
-        [(0.1, [3, 3]), (-1.0, [1])],
-        [(0.1, [1] * 6), (-1.0, [1])],
+        *TENTH_BLOCKS,
         [(-0.0, [2, 1]), (-2j, [1]), (1.0, [1])],
         [(complex(-0.0, -0.0), [1, 1]), (complex(-1.0, -0.0), [2])],
     ], ids=str)
@@ -203,6 +205,35 @@ class TestUnperturbedGroups:
                 # the perturbed group's eigensolve only
                 assert len(eigensolves) == (moved is not None)
             assert hinted == outcome(numeric_experiment, structure, values, *tols)
+
+    @pytest.mark.parametrize("blocks", TENTH_BLOCKS, ids=str)
+    def test_tenth_recovered_exactly(self, blocks):
+        # six copies of 0.1 average to 0.09999999999999999, so in the matrix's
+        # own coordinates the shifted block is -1.4e-17*I, its own rank
+        # scale, and all simple blocks read as full rank; the deviation
+        # block's spectrum is exact zeros
+        structure = SegreStructure(blocks)
+        assert set(perturbation_experiment(structure, {}).blocks) == set(structure.blocks)
+        assert exact_experiment(structure, {})[0] == partition_multiset(structure)
+        for first in first_parameters(structure):
+            values = {first: 1e-2}
+            exact, gap = exact_experiment(structure, values)
+            assert gap > 1.0
+            recovered = perturbation_experiment(structure, values)
+            assert partition_multiset(recovered) == exact
+
+    def test_nilpotent_blocks_read_exactly(self):
+        # why an unperturbed group needs no numerical work: eigvals returns
+        # every nilpotent Jordan matrix's spectrum as exact zeros, and its
+        # rank tests give its partition, at every order up to the cap
+        for n in range(1, MAX_ORDER + 1):
+            for sizes in partitions(n):
+                structure = SegreStructure([(0.0, sizes)])
+                block = build_jcf(structure)
+                assert not np.any(eigenvalues(block))
+                for tols in [(DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL),
+                             (0.0, 0.0), (0.5, 0.999)]:
+                    assert recover_structure(block, *tols) == structure
 
     @pytest.mark.parametrize("value,solves", [(0, 1), (0.0j, 1), (-0.0, 1),
                                               (1e-300, 2)])
@@ -227,7 +258,77 @@ class TestUnperturbedGroups:
         assert hinted == outcome(numeric_experiment, structure, values)
 
 
+def transport_cases():
+    # 2-3 groups at orders up to 16 and values of 1e-8..1, so that some
+    # results are inconclusive; on some inputs the last replacement sits
+    # within the clustering radius of the first, so that only the relabeled
+    # side collides
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pool = (0, 1, -1, 1j, -1j, 2, 1 + 1j, 0.1, -0.0)
+
+    @st.composite
+    def cases(draw):
+        count = draw(st.integers(2, 3))
+        n = draw(st.integers(count, 16))
+        cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=count - 1,
+                                    max_size=count - 1, unique=True)))
+        eigs = draw(st.lists(st.sampled_from(pool[:7]), min_size=count,
+                             max_size=count, unique=True))
+        blocks = []
+        for eig, lo, hi in zip(eigs, [0, *cuts], [*cuts, n]):
+            rest, sizes = hi - lo, []
+            while rest:
+                sizes.append(draw(st.integers(1, min([rest, *sizes[-1:]]))))
+                rest -= sizes[-1]
+            blocks.append((eig, sizes))
+        structure = SegreStructure(blocks)
+        params = draw(st.lists(st.integers(1, orbit_codim(structure)),
+                               min_size=0, max_size=3, unique=True))
+        values = {p: 10 ** draw(st.floats(-8, 0))
+                  * cmath.exp(1j * draw(st.floats(0, 2 * cmath.pi)))
+                  for p in params}
+        replacements = draw(st.lists(st.sampled_from(pool), min_size=count,
+                                     max_size=count, unique_by=complex))
+        if draw(st.booleans()):
+            replacements[-1] = replacements[0] + draw(st.sampled_from((1e-7, 3e-6j)))
+        return structure, replacements, values
+
+    return hypothesis, cases()
+
+
 class TestTransportPerturbation:
+    def test_same_as_two_experiments(self):
+        # the shared eigensolves and rank tests change nothing: the results,
+        # or the error raised and its message, are those of the two
+        # experiments run one after the other
+        hypothesis, cases = transport_cases()
+
+        def experiments(structure, replacements, values):
+            relabeled = SegreStructure(
+                [(r, sizes) for r, (_, sizes) in zip(replacements, structure.blocks)])
+            return (perturbation_experiment(structure, values),
+                    perturbation_experiment(relabeled, values))
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(cases)
+        def check(case):
+            shared = outcome(transport_perturbation, *case)
+            assert shared == outcome(experiments, *case)
+
+        check()
+
+    def test_one_eigensolve_per_perturbed_group(self, eigensolves):
+        # 2 of 3 groups perturbed: 2 eigensolves serve both sides, not 4
+        b = SegreStructure([(0.0, [2, 1]), (1.0, [2]), (2.0, [1])])
+        values = {1: 1e-2, 6: 1e-2}
+        left, right = transport_perturbation(b, [3.0, 5.0, 7.0], values)
+        assert sorted(eigensolves) == [2, 3]
+        eigensolves.clear()
+        assert perturbation_experiment(b, values) == left
+        assert sorted(eigensolves) == [2, 3]
+
     def test_bridge_transports_to_shifted_eigenvalue(self):
         b = SegreStructure([(0.0, [3, 2])])
         left, right = transport_perturbation(b, [5.0], {4: 1e-2})
@@ -284,10 +385,10 @@ class TestTransportPerturbation:
                                     [(0.0, [1000]), (1.0, [1000])]],
                          ids=["17", "2000", "1000+1000"])
 def test_order_cap_checked_before_any_matrix(blocks, monkeypatch):
-    def instantiate(*args):
-        raise AssertionError("instantiate ran on an oversized structure")
+    def deviation(*args):
+        raise AssertionError("a matrix was built for an oversized structure")
 
-    monkeypatch.setattr(closure, "instantiate", instantiate)
+    monkeypatch.setattr(closure, "_deviation", deviation)
     structure = SegreStructure(blocks)
     message = f"matrix order {structure.total_size} exceeds cap 16"
     with pytest.raises(ValueError, match=message):
@@ -303,12 +404,12 @@ def test_order_cap_checked_before_any_matrix(blocks, monkeypatch):
 VALUE_DENOMINATOR = 2 ** 20
 
 
-def exact_experiment(structure, numerators):
+def exact_experiment(structure, values):
     """Exact partition multiset of an Arnold-pattern perturbation.
 
-    ``structure`` has integer eigenvalues and ``numerators`` maps parameter
-    indices to ``k`` for the value ``k / VALUE_DENOMINATOR``.  For each
-    irreducible factor ``f`` of degree ``d`` of the characteristic
+    ``structure`` has real eigenvalues and ``values`` maps parameter indices
+    to real values; floats are dyadic rationals, so both are taken exactly.
+    For each irreducible factor ``f`` of degree ``d`` of the characteristic
     polynomial over Q, the ranks of ``f(A)**j`` drop by ``d`` times the Weyr
     characteristic shared by the ``d`` roots of ``f``: no eigenvalues and no
     tolerances are involved.  Also returns the smallest distance between
@@ -318,19 +419,23 @@ def exact_experiment(structure, numerators):
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
     qq = sympy.QQ
+
+    def exact(x):
+        return qq(*float(x).as_integer_ratio())
+
     n = structure.total_size
     rows = [[qq(0)] * n for _ in range(n)]
     at = 0
     for eig, sizes in structure.blocks:
         for k in sizes:
             for i in range(at, at + k):
-                rows[i][i] = qq(int(eig.real))
+                rows[i][i] = exact(eig.real)
                 if i + 1 < at + k:
                     rows[i][i + 1] = qq(1)
             at += k
     for row, col, param in arnold_pattern(structure).stars:
-        if param in numerators:
-            rows[row - 1][col - 1] += qq(numerators[param], VALUE_DENOMINATOR)
+        if param in values:
+            rows[row - 1][col - 1] += exact(values[param])
     a = DomainMatrix(rows, (n, n), qq)
     eye = DomainMatrix.eye(n, qq)
     charpoly = sympy.Poly(a.charpoly(), sympy.Symbol("x"), domain=qq)
@@ -388,8 +493,8 @@ def test_perturbation_experiment_matches_exact_oracle():
     @hypothesis.given(experiments())
     def check(case):
         structure, numerators = case
-        exact, gap = exact_experiment(structure, numerators)
         values = {p: k / VALUE_DENOMINATOR for p, k in numerators.items()}
+        exact, gap = exact_experiment(structure, values)
         try:
             results = [perturbation_experiment(structure, values)]
             if len(structure.blocks) > 1:
@@ -417,10 +522,9 @@ def test_regrouped_block_recovered_where_whole_matrix_ranks_fail():
     # other groups' eigenvalues -3 and -2 in it, read Weyr (1, 1, 2) for the
     # triple eigenvalue 1; the group block's own scale reads the 3-block
     structure = SegreStructure([(1, [3, 1]), (-3, [1]), (-2, [1])])
-    numerators = {6: 3374}
-    exact, gap = exact_experiment(structure, numerators)
+    values = {6: 3374 / VALUE_DENOMINATOR}
+    exact, gap = exact_experiment(structure, values)
     assert exact == ((1,), (1,), (1,), (3,)) and gap > 1.0
-    values = {p: k / VALUE_DENOMINATOR for p, k in numerators.items()}
     recovered = perturbation_experiment(structure, values)
     assert partition_multiset(recovered) == exact
     eig, sizes = recovered.blocks[2]

@@ -204,6 +204,14 @@ class TestRecoverStructure:
         with pytest.raises(ValueError, match="^rank_tol must"):
             recover_structure(m, rank_tol=1.0)
 
+    def test_ulp_off_mean_still_refused(self):
+        # a matrix has no base eigenvalue to recover relative to: six copies
+        # of 0.1 average to 0.09999999999999999, the shifted block -1.4e-17*I
+        # is its own rank scale, and the first power reads full rank
+        # (perturbation_experiment reads its groups relative to their base)
+        with pytest.raises(InconsistentRanks, match=r"Weyr \(\) for multiplicity 6"):
+            recover_structure(0.1 * np.eye(6))
+
     def test_overflow_raises_value_error(self):
         # ||m||_F and the rank cutoff of the cube overflow; one ValueError,
         # no RuntimeWarning and no raw OverflowError
