@@ -13,9 +13,8 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import closure, codimension, deformation, files, jordan, linearization
+from ._numpy import np
 from .errors import VersalError
 from .linalg import check_order, eigenvalues, frobenius_norm
 
@@ -75,11 +74,17 @@ def _eigen_match(a, b):
 def cmd_jcf(args):
     structure = files.load_segre(args.structure)
     check_order(structure.total_size)
-    matrix = jordan.build_jcf(structure)
-    for row in matrix:
-        print(" ".join(_format_complex(z) for z in row))
+    # build_jcf's rows from its diagonal and superdiagonal, without numpy;
+    # each row has one spare column, for the last row's entry past the corner
+    diagonal = jordan._base_diagonal(structure)
+    above = jordan._superdiagonal(structure.partitions()) + [0.0]
+    for i, entries in enumerate(zip(diagonal, above)):
+        row = [0.0] * (len(diagonal) + 1)
+        row[i:i + 2] = entries
+        print(" ".join(_format_complex(z) for z in row[:-1]))
     if args.out:
-        files.save_document(args.out, files.matrix_document(matrix))
+        files.save_document(args.out,
+                            files.matrix_document(jordan.build_jcf(structure)))
         print(f"wrote {args.out}")
     return 0
 

@@ -14,8 +14,7 @@ arithmetic for a group with itself.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from .jordan import _group_spans, build_jcf
 from .linalg import RANK_TOL
 

@@ -29,8 +29,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._numpy import np
 from .errors import MissingParameter, PivotBreakdown
 from .jordan import _base_diagonal, _block_starts, _integer, _nilpotent
 from .linalg import as_matrix

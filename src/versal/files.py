@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .jordan import SegreStructure
 from .linalg import as_matrix
 from .linearization import MonicPolynomial

@@ -14,8 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import EigenvalueCollision, InconsistentRanks
 from .linalg import as_matrix, eigenvalues
 
@@ -36,19 +35,22 @@ def _integer(value, what):
     raise ValueError(f"{what} must be integers, got {value!r}")
 
 
-def _validated_blocks(blocks):
+def _validated_blocks(blocks, partitions=False):
+    # partitions=True skips the checks on sizes that are descending tuples of
+    # positive integers by construction
     normalized = []
     for eig, sizes in blocks:
         eig = complex(eig)
         if not cmath.isfinite(eig):
             raise ValueError(f"eigenvalues must be finite, got {eig}")
-        sizes = tuple(_integer(k, "block sizes") for k in sizes)
-        if not sizes:
-            raise ValueError("every eigenvalue needs at least one block")
-        if any(k <= 0 for k in sizes):
-            raise ValueError(f"block sizes must be positive, got {sizes}")
-        if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-            raise ValueError(f"block sizes must be descending, got {sizes}")
+        if not partitions:
+            sizes = tuple(_integer(k, "block sizes") for k in sizes)
+            if not sizes:
+                raise ValueError("every eigenvalue needs at least one block")
+            if any(k <= 0 for k in sizes):
+                raise ValueError(f"block sizes must be positive, got {sizes}")
+            if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
+                raise ValueError(f"block sizes must be descending, got {sizes}")
         normalized.append((eig, sizes))
     if not normalized:
         raise ValueError("structure needs at least one eigenvalue")
@@ -71,6 +73,14 @@ class SegreStructure:
 
     def __init__(self, blocks):
         object.__setattr__(self, "blocks", _validated_blocks(blocks))
+
+    @classmethod
+    def _from_parts(cls, blocks):
+        # for sizes that are partitions by construction; a computed eigenvalue
+        # can still overflow, or two cluster means coincide
+        out = object.__new__(cls)
+        object.__setattr__(out, "blocks", _validated_blocks(blocks, partitions=True))
+        return out
 
     @property
     def total_size(self):
@@ -115,15 +125,17 @@ def jordan_block(size, eigenvalue):
     return out
 
 
+def _superdiagonal(partitions):
+    # build_jcf's superdiagonal: a 1 except where the next block starts
+    ends = {at - 1 for starts in _block_starts(partitions) for at in starts if at}
+    return [0.0 if i in ends else 1.0 for i in range(sum(map(sum, partitions)) - 1)]
+
+
 def _nilpotent(partitions):
-    # build_jcf at eigenvalue zero: the superdiagonal holds a 1 except where
-    # the next block starts, everything else is +0
+    # build_jcf at eigenvalue zero: the superdiagonal above, everything else +0
     n = sum(map(sum, partitions))
     out = np.zeros((n, n), dtype=complex)
-    superdiagonal = np.ones(n - 1)
-    superdiagonal[[at - 1 for starts in _block_starts(partitions)
-                   for at in starts if at]] = 0.0
-    out.flat[1::n + 1] = superdiagonal
+    out.flat[1::n + 1] = _superdiagonal(partitions)
     return out
 
 
@@ -217,7 +229,6 @@ def _check_tolerances(cluster_tol, rank_tol, names=("cluster_tol", "rank_tol")):
             f"{names[0]} must be finite and non-negative, got {cluster_tol}")
 
 
-@np.errstate(over="raise", invalid="raise")
 def _recover_groups(deviation, groups, labelings, cluster_tol, rank_tol):
     # One structure per labeling of a block diagonal matrix.  groups lists a
     # (slice, partition) pair per diagonal block of deviation; a labeling is
@@ -236,47 +247,50 @@ def _recover_groups(deviation, groups, labelings, cluster_tol, rank_tol):
     # computing on with inf
     _check_tolerances(cluster_tol, rank_tol)
     spectra, weyrs, structures = {}, {}, []
-    try:
-        for bases, matrix in labelings:
-            radius = cluster_radius(matrix, cluster_tol)
-            placed = []
-            for g, (span, partition) in enumerate(groups):
-                if g not in spectra:
-                    spectra[g] = (eigenvalues(deviation[span, span]) if partition is None
-                                  else np.zeros(span.stop - span.start, dtype=complex))
-                spectrum = _labeled(bases, g, spectra[g])
-                for i, earlier in enumerate(placed):
-                    gap = abs(earlier[:, None] - spectrum).min()
-                    if gap <= radius:
-                        raise EigenvalueCollision(
-                            f"perturbed eigenvalue groups {i + 1} and "
-                            f"{len(placed) + 1} come within {gap:.3e} of each other")
-                placed.append(spectrum)
-            blocks = []
-            for g, (span, partition) in enumerate(groups):
-                if partition is not None:
-                    blocks.append((_labeled(bases, g, 0j), partition))
-                    continue
-                spectrum = spectra[g]
-                for members in _cluster(spectrum, radius):
-                    mult = len(members)
-                    local = complex(np.add.reduce(spectrum[members]) / mult)
-                    key = (g, tuple(members))
-                    if key not in weyrs:
-                        weyrs[key] = _weyr(deviation[span, span], local, mult, rank_tol)
-                    weyr = weyrs[key]
-                    mu = _labeled(bases, g, local)
-                    decreasing = all(weyr[i] >= weyr[i + 1] for i in range(len(weyr) - 1))
-                    if sum(weyr) != mult or not decreasing:
-                        raise InconsistentRanks(
-                            f"rank sequence near {mu:.6g} yields Weyr {weyr} for "
-                            f"multiplicity {mult}; tolerances do not fit this input")
-                    blocks.append((mu, conjugate_partition(weyr)))
-            blocks.sort(key=lambda item: (item[0].real, item[0].imag))
-            structures.append(SegreStructure(blocks))
-    except (FloatingPointError, OverflowError) as exc:
-        raise ValueError(
-            f"matrix entries overflow the structure recovery: {exc}") from exc
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for bases, matrix in labelings:
+                radius = cluster_radius(matrix, cluster_tol)
+                placed = []
+                for g, (span, partition) in enumerate(groups):
+                    if g not in spectra:
+                        spectra[g] = (
+                            eigenvalues(deviation[span, span]) if partition is None
+                            else np.zeros(span.stop - span.start, dtype=complex))
+                    spectrum = _labeled(bases, g, spectra[g])
+                    for i, earlier in enumerate(placed):
+                        gap = abs(earlier[:, None] - spectrum).min()
+                        if gap <= radius:
+                            raise EigenvalueCollision(
+                                f"perturbed eigenvalue groups {i + 1} and "
+                                f"{len(placed) + 1} come within {gap:.3e} of each other")
+                    placed.append(spectrum)
+                blocks = []
+                for g, (span, partition) in enumerate(groups):
+                    if partition is not None:
+                        blocks.append((_labeled(bases, g, 0j), partition))
+                        continue
+                    spectrum = spectra[g]
+                    for members in _cluster(spectrum, radius):
+                        mult = len(members)
+                        local = complex(np.add.reduce(spectrum[members]) / mult)
+                        key = (g, tuple(members))
+                        if key not in weyrs:
+                            weyrs[key] = _weyr(deviation[span, span], local, mult, rank_tol)
+                        weyr = weyrs[key]
+                        mu = _labeled(bases, g, local)
+                        decreasing = all(weyr[i] >= weyr[i + 1]
+                                         for i in range(len(weyr) - 1))
+                        if sum(weyr) != mult or not decreasing:
+                            raise InconsistentRanks(
+                                f"rank sequence near {mu:.6g} yields Weyr {weyr} for "
+                                f"multiplicity {mult}; tolerances do not fit this input")
+                        blocks.append((mu, conjugate_partition(weyr)))
+                blocks.sort(key=lambda item: (item[0].real, item[0].imag))
+                structures.append(SegreStructure._from_parts(blocks))
+        except (FloatingPointError, OverflowError) as exc:
+            raise ValueError(
+                f"matrix entries overflow the structure recovery: {exc}") from exc
     return structures
 
 

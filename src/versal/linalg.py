@@ -8,8 +8,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NoConvergence, SingularMatrix
 
 # Relative threshold on the smallest singular value below which a dense solve

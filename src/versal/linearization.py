@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (DimensionMismatch, MaxIterationsExceeded, SingularMatrix,
                      SingularTransform, StagnationDetected)
 from .linalg import _gated_solve, as_matrix, check_order
@@ -154,7 +153,6 @@ def _solve_commutator_step(m, unstructured, d, n):
     return np.vstack(rows[::-1])
 
 
-@np.errstate(over="raise", invalid="raise")
 def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Reduce a full perturbation of ``companion(poly)`` to a structured one.
 
@@ -191,54 +189,55 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     if e.shape != (big, big):
         raise DimensionMismatch(f"perturbation must be {big}x{big}, got {e.shape}")
 
-    c = companion(poly)
-    original = c + e
-    eye = np.eye(big, dtype=complex)
-    s = eye
-    trace = []
-    iterations = 0
-    stalled = 0
+    with np.errstate(over="raise", invalid="raise"):
+        c = companion(poly)
+        original = c + e
+        eye = np.eye(big, dtype=complex)
+        s = eye
+        trace = []
+        iterations = 0
+        stalled = 0
 
-    def _fail(exc):
-        exc.residual_trace = tuple(trace)
-        return exc
+        def _fail(exc):
+            exc.residual_trace = tuple(trace)
+            return exc
 
-    # an input far outside the small-perturbation contract overflows S or
-    # the products with it; the errstate above raises there instead of
-    # computing on with inf
-    try:
-        while True:
-            # e = S^-1 (C + E) S - C: its first block row perturbs the
-            # coefficients, the rest is the unstructured part still to cancel
-            m = c.copy()
-            m[:n] += e[:n]
-            residual = float(np.linalg.norm(e[n:]))
-            # count sweeps since the smallest norm so far: at the roundoff floor
-            # the norm fluctuates, and a chance dip must not restart the count
-            stalled = stalled + 1 if trace and residual >= min(trace) else 0
-            if stalled >= 3:
-                raise _fail(StagnationDetected(
-                    f"unstructured norm {residual:.3e} has not fallen below its "
-                    f"minimum {min(trace):.3e} for 3 consecutive sweeps"))
-            trace.append(residual)
-            if residual <= tol:
-                break
-            if iterations >= max_iter:
-                raise _fail(MaxIterationsExceeded(
-                    f"unstructured norm {residual:.3e} > {tol:g} after "
-                    f"{max_iter} sweeps"))
-            s = s @ (eye - _solve_commutator_step(m, e, d, n))
-            # solve for S^-1 (C + E) S - C, not for S^-1 (C + E) S: the latter
-            # rounds its unit subdiagonal to 1, which can zero the residual by
-            # chance and so meet a tolerance below roundoff
-            try:
-                e = _gated_solve(s, original @ s - s @ c)
-            except SingularMatrix as exc:
-                raise _fail(SingularTransform(str(exc))) from exc
-            iterations += 1
-    except FloatingPointError as exc:
-        raise _fail(StagnationDetected(
-            f"the iteration overflowed after {iterations} sweeps ({exc})")) from exc
+        # an input far outside the small-perturbation contract overflows S or
+        # the products with it; the errstate above raises there instead of
+        # computing on with inf
+        try:
+            while True:
+                # e = S^-1 (C + E) S - C: its first block row perturbs the
+                # coefficients, the rest is the unstructured part still to cancel
+                m = c.copy()
+                m[:n] += e[:n]
+                residual = float(np.linalg.norm(e[n:]))
+                # count sweeps since the smallest norm so far: at the roundoff floor
+                # the norm fluctuates, and a chance dip must not restart the count
+                stalled = stalled + 1 if trace and residual >= min(trace) else 0
+                if stalled >= 3:
+                    raise _fail(StagnationDetected(
+                        f"unstructured norm {residual:.3e} has not fallen below its "
+                        f"minimum {min(trace):.3e} for 3 consecutive sweeps"))
+                trace.append(residual)
+                if residual <= tol:
+                    break
+                if iterations >= max_iter:
+                    raise _fail(MaxIterationsExceeded(
+                        f"unstructured norm {residual:.3e} > {tol:g} after "
+                        f"{max_iter} sweeps"))
+                s = s @ (eye - _solve_commutator_step(m, e, d, n))
+                # solve for S^-1 (C + E) S - C, not for S^-1 (C + E) S: the latter
+                # rounds its unit subdiagonal to 1, which can zero the residual by
+                # chance and so meet a tolerance below roundoff
+                try:
+                    e = _gated_solve(s, original @ s - s @ c)
+                except SingularMatrix as exc:
+                    raise _fail(SingularTransform(str(exc))) from exc
+                iterations += 1
+        except FloatingPointError as exc:
+            raise _fail(StagnationDetected(
+                f"the iteration overflowed after {iterations} sweeps ({exc})")) from exc
 
     # m is companion(recovered) exactly, so the similarity residual
     # ||S^-1 (C + E) S - m||_F is the last residual

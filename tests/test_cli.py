@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import versal
+from conftest import EIGENVALUE_POOL, structures_of_size
 from versal import SegreStructure, build_jcf, codimension, files
-from versal.cli import main
+from versal.cli import _format_complex, main
 from versal.jordan import jordan_block
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -28,18 +30,98 @@ def write_matrix(tmp_path, m, name="m.json"):
     return str(path)
 
 
-def test_import_pulls_in_no_scipy():
-    # every versal command pays its imports at start-up, and scipy.linalg
-    # alone would be most of that time
+def run_fresh(code, *args):
+    # stdout of a fresh interpreter that imports versal from this checkout
     src = str(Path(versal.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_import_pulls_in_no_scipy():
+    # every versal command pays its imports at start-up, and scipy.linalg
+    # alone would be most of that time
     code = ("import sys, versal, versal.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+# runs main on each argv list given as JSON, then prints the numpy modules
+# loaded; it reads sys.modules keys only, since any attribute of versal's
+# numpy stand-in would import numpy
+RUN_COMMANDS = """
+import json, sys, versal, versal.cli
+for argv in json.loads(sys.argv[1]):
+    assert versal.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))
+"""
+
+
+def numpy_modules_after(argvs):
+    return json.loads(run_fresh(RUN_COMMANDS, json.dumps(argvs)).splitlines()[-1])
+
+
+def test_combinatorial_commands_leave_numpy_unloaded(tmp_path):
+    # codimensions, star patterns and the Jordan matrix's rows need no
+    # floating point, so these commands start without numpy's import time
+    path = write_segre(tmp_path, [(0.0, [2, 1]), (1.5, [1])])
+    pure = [["pattern", path, "--out", str(tmp_path / "p.json")],
+            ["codim", path], ["codim", path, "--mode", "bundle"], ["jcf", path]]
+    assert numpy_modules_after(pure) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["codim", "{s}", "--oracle"], ["jcf", "{s}", "--out", "{dir}/j.json"],
+    ["experiment", "{s}", "--set", "1=1e-3"]])
+def test_numeric_commands_load_numpy(tmp_path, command):
+    path = write_segre(tmp_path, [(0.0, [2, 1]), (1.5, [1])])
+    argv = [arg.format(s=path, dir=tmp_path) for arg in command]
+    assert "numpy" in numpy_modules_after([argv])
+
+
+def test_first_numeric_calls_from_threads():
+    # eight threads, more than the cores, make the first numeric call at
+    # once under a short switch interval: each sees numpy fully imported, and
+    # afterwards every module's np is numpy itself; versal.cli brings in the
+    # one module that versal does not, files
+    code = """
+import json, sys, threading, versal, versal.cli
+assert "numpy" not in sys.modules
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8)
+results, errors = [], []
+def first_call():
+    barrier.wait(timeout=60)
+    try:
+        results.append(repr(versal.recover_structure([[1, 1], [0, 1]])))
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=first_call) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+import numpy
+holders = {key: vars(module)["np"] is numpy for key, module in sys.modules.items()
+           if key.split(".")[0] == "versal" and "np" in vars(module)}
+print(json.dumps({"results": results, "errors": errors, "holders": holders,
+                  "alive": sum(thread.is_alive() for thread in threads)}))
+"""
+    out = json.loads(run_fresh(code))
+    assert out["alive"] == 0
+    assert out["errors"] == []
+    assert out["results"] == [repr(SegreStructure([(1.0, [2])]))] * 8
+    assert out["holders"] == dict.fromkeys(
+        ["versal._numpy", "versal.cli", "versal.codimension", "versal.deformation",
+         "versal.files", "versal.jordan", "versal.linalg", "versal.linearization"],
+        True)
+
+
+def test_numpy_imported_first_is_bound_at_import():
+    code = "import numpy, versal; print(versal.linalg.np is numpy)"
+    assert run_fresh(code).strip() == "True"
 
 
 class TestCodimCommand:
@@ -349,15 +431,28 @@ class TestReduceBlockCommand:
         assert "pivot" in capsys.readouterr().err
 
 
+# the literals -0.0 and -2j have real part -0.0; 0.1-0j would add +0.0 to
+# the imaginary part, so that value is written out
+SIGNED_ZERO_POOL = (-0.0, -2j, complex(0.1, -0.0))
+
+
 class TestJcfCommand:
     def test_print_and_write(self, tmp_path, capsys):
-        path = write_segre(tmp_path, [(0.0, [2]), (1.0, [1])])
+        # every structure of size <= 6 with 1-3 eigenvalue groups: the rows,
+        # printed without building the matrix unless --out asks for it, are
+        # those of build_jcf, and --out writes build_jcf
         out = tmp_path / "jcf.json"
-        assert main(["jcf", path, "--out", str(out)]) == 0
-        capsys.readouterr()
-        matrix = files.load_matrix(out)
-        assert np.array_equal(matrix,
-                              build_jcf(SegreStructure([(0.0, [2]), (1.0, [1])])))
+        for pool, n in itertools.product([EIGENVALUE_POOL, SIGNED_ZERO_POOL], range(1, 7)):
+            for structure in structures_of_size(n, pool):
+                path = write_segre(tmp_path, structure.blocks)
+                matrix = build_jcf(structure)
+                rows = "".join(" ".join(map(_format_complex, row)) + "\n"
+                               for row in matrix)
+                assert main(["jcf", path]) == 0
+                assert capsys.readouterr().out == rows
+                assert main(["jcf", path, "--out", str(out)]) == 0
+                assert capsys.readouterr().out == rows + f"wrote {out}\n"
+                assert np.array_equal(files.load_matrix(out), matrix)
 
     def test_no_negative_zeros(self, tmp_path, capsys):
         # the literal -2j has real part -0.0, which the segre file keeps

@@ -52,6 +52,24 @@ class TestSegreStructure:
         with pytest.raises(ValueError, match="finite"):
             SegreStructure(blocks)
 
+    @pytest.mark.parametrize("blocks", [
+        [(complex(float("inf"), 0.0), (2,))],
+        [(0.5 + 0j, (1,)), (0.5 + 0j, (2, 1))],
+        [],
+    ])
+    def test_built_parts_keep_the_eigenvalue_checks(self, blocks):
+        # structure recovery builds its sizes as partitions, so only the
+        # eigenvalue checks run there; they raise what the constructor raises
+        with pytest.raises(ValueError) as public:
+            SegreStructure(blocks)
+        with pytest.raises(ValueError) as built:
+            SegreStructure._from_parts(blocks)
+        assert str(built.value) == str(public.value)
+
+    def test_built_parts_equal_the_validated_structure(self):
+        blocks = [(-1j, (3, 1)), (0.25 + 0j, (2,))]
+        assert SegreStructure._from_parts(blocks) == SegreStructure(blocks)
+
 
 class TestBuildJcf:
     def test_two_by_two_nilpotent(self):
