@@ -11,14 +11,15 @@ when the perturbed eigenvalues of distinct groups merge.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 from .codimension import bundle_codim, orbit_codim
-from .deformation import _deviation, _parameter_groups, _with_base, arnold_pattern
+from .deformation import _deviation, _layout, _supplied, _with_base
 from .errors import EigenvalueCollision, SizeMismatch
 from .jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SegreStructure,
-                     _group_spans, _recover_groups)
+                     _check_tolerances, _group_spans, _recover_groups)
 from .linalg import check_order
 
 
@@ -107,6 +108,15 @@ def perturbation_experiment(structure, values,
     gets its base eigenvalue and partition with no eigensolve and no rank
     SVDs.
 
+    The deviation blocks, the spectra and the Weyr sequences depend only on
+    the structure's partitions, the values and ``rank_tol``, not on its
+    eigenvalues or on ``cluster_tol``.  The last experiment's are kept, so
+    an experiment that reads the same partitions and values at the same
+    ``rank_tol`` as the one before it, such as the same structure relabeled
+    or :func:`transport_perturbation` right after an experiment, runs no
+    eigensolve and no rank SVD that the earlier one ran.  The inputs are
+    validated on every call, and the result is the same either way.
+
     Raises
     ------
     ValueError
@@ -122,28 +132,44 @@ def perturbation_experiment(structure, values,
     InconsistentRanks
         If a cluster's rank sequence does not fit its multiplicity.
     """
-    return _experiments(structure, [structure], values, cluster_tol, rank_tol)[0]
+    return _experiment(structure, values, cluster_tol, rank_tol)
 
 
-def _experiments(structure, labelings, values, cluster_tol, rank_tol):
-    # perturbation_experiment on each of labelings, structures with
-    # structure's partitions: one deviation, one eigensolve per perturbed
-    # group and one Weyr sequence per (group, cluster) serve them all
+def _experiment(structure, values, cluster_tol, rank_tol):
+    # perturbation_experiment, under a name of its own so that transport's
+    # experiments are not counted as calls of the public function
     check_order(structure.total_size)
-    deviation, supplied = _deviation(arnold_pattern(structure), values)
+    partitions = structure.partitions()
+    supplied = _supplied(values, range(1, len(_layout(partitions)[2]) + 1))
+    _check_tolerances(cluster_tol, rank_tol)
+    deviation, groups, spectra, weyrs = _reading(
+        partitions, tuple(sorted(supplied.items())), rank_tol)
+    # each group's base is its diagonal entry in build_jcf
+    labeling = ([eig + 0j for eig, _ in structure.blocks],
+                _with_base(deviation, structure))
+    return _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol,
+                           spectra, weyrs)
+
+
+@functools.lru_cache(maxsize=1)
+def _reading(partitions, supplied_items, rank_tol):
+    # What an experiment reads, keyed by validated values only: the
+    # deviation N + P, the groups for _recover_groups and its spectra and
+    # weyrs dicts, which the experiments on this key fill and share.  Equal
+    # values that differ in the sign of a zero part share a key; they give
+    # the same deviation, since adding a signed zero to an entry that
+    # holds +0 or +1 leaves it as it is, and a zero value is skipped
+    stars, _, owner = _layout(partitions)
+    supplied = dict(supplied_items)
+    deviation = _deviation(partitions, stars, supplied)
+    deviation.flags.writeable = False
     # _deviation skips zero values, so a group none of whose parameters is
     # nonzero keeps exactly its nilpotent Jordan block
-    owner = _parameter_groups(structure)
-    moved = {owner[index - 1] for index, value in supplied.items() if value}
-    groups = [(span, None if g in moved else sizes)
-              for g, (span, sizes) in enumerate(zip(_group_spans(structure),
-                                                    structure.partitions()))]
-    # each group's base is its diagonal entry in build_jcf
-    return _recover_groups(
-        deviation, groups,
-        [([eig + 0j for eig, _ in base.blocks], _with_base(deviation, base))
-         for base in labelings],
-        cluster_tol, rank_tol)
+    moved = {owner[index - 1] for index, value in supplied_items if value}
+    groups = tuple((span, None if g in moved else sizes)
+                   for g, (span, sizes) in enumerate(zip(_group_spans(partitions),
+                                                         partitions)))
+    return deviation, groups, {}, {}
 
 
 def transport_perturbation(structure, replacement_eigenvalues, values):
@@ -152,14 +178,14 @@ def transport_perturbation(structure, replacement_eigenvalues, values):
     The results of :func:`perturbation_experiment` with the same ``values``
     on ``structure`` and on it with its eigenvalues replaced by
     ``replacement_eigenvalues`` (one per group, pairwise distinct), both at
-    the default tolerances.  Arnold stars depend only on the block sizes, so
-    both get one perturbation, and matrices in one bundle react to it with
-    the same partition multiset: the two results must agree up to
-    eigenvalue values.  The two sides share their deviation blocks, so each
-    perturbed group is eigensolved and each of its clusters rank-tested
-    once for both; the first side is finished before the second, so the
-    results, and the error raised if any, are those of the two experiments
-    run one after the other.
+    the default tolerances, run one after the other: the results, and the
+    error raised if any, are those of the two experiments.  Arnold stars
+    depend only on the block sizes, so both get one perturbation, and
+    matrices in one bundle react to it with the same partition multiset:
+    the two results must agree up to eigenvalue values.  The second
+    experiment reads the same partitions and values as the first, so it
+    reuses its eigensolves and rank SVDs, and so does the first when the
+    same experiment ran just before the transport.
 
     Raises
     ------
@@ -180,5 +206,5 @@ def transport_perturbation(structure, replacement_eigenvalues, values):
                     f"replacement eigenvalues {i + 1} and {j + 1} coincide")
     relabeled = SegreStructure(
         [(replacements[i], sizes) for i, (_, sizes) in enumerate(structure.blocks)])
-    return tuple(_experiments(structure, [structure, relabeled], values,
-                              DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL))
+    return tuple(_experiment(side, values, DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL)
+                 for side in (structure, relabeled))

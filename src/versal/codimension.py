@@ -46,7 +46,7 @@ def orbit_codim_oracle(structure):
     if n > MAX_ORACLE_ORDER:
         raise ValueError(f"oracle capped at total size {MAX_ORACLE_ORDER}, got {n}")
     a = build_jcf(structure)
-    spans = _group_spans(structure)
+    spans = _group_spans(structure.partitions())
     singular = []
     for i, g in enumerate(spans):
         for h in spans[i:]:

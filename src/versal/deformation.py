@@ -113,6 +113,8 @@ def _alternate_group(sizes, starts, param):
 def _layout(partitions):
     # stars depend only on the block sizes: per partition tuple, the Arnold
     # and Alternate star tuples and the 0-based group of each parameter
+    # (entry i - 1 for parameter i; both shapes number their parameters
+    # group by group, so one map serves both)
     arnold, alternate, owner = [], [], []
     for group, (sizes, starts) in enumerate(zip(partitions, _block_starts(partitions))):
         arnold += _arnold_group(sizes, starts, len(owner))
@@ -132,29 +134,28 @@ def alternate_pattern(structure):
                               _layout(structure.partitions())[1])
 
 
-def _parameter_groups(structure):
-    # entry i - 1 is the 0-based eigenvalue group of parameter i; both
-    # shapes number their parameters group by group, so one map serves both
-    return _layout(structure.partitions())[2]
-
-
-def _deviation(pattern, values):
-    # instantiate without the base eigenvalues and with omitted parameters
-    # zero: the nilpotent Jordan part plus the filled stars, and the values
-    # by integer index.  The one home of the parameter-index rule
+def _supplied(values, needed):
+    # the values by integer index, each index one of the pattern's parameter
+    # indices needed: the one home of the parameter-index rule
     supplied = {_integer(k, "parameter indices"): complex(v)
                 for k, v in values.items()}
-    needed = {param for _, _, param in pattern.stars}
-    unknown = sorted(supplied.keys() - needed)
+    unknown = sorted(k for k in supplied if k not in needed)
     if unknown:
         raise ValueError(f"parameter index {unknown[0]} outside 1..{len(needed)}")
-    out = _nilpotent(pattern.base.partitions())
-    for row, col, param in pattern.stars:
+    return supplied
+
+
+def _deviation(partitions, stars, supplied):
+    # instantiate without the base eigenvalues and with omitted parameters
+    # zero: the nilpotent Jordan part plus the stars filled with the
+    # _supplied values
+    out = _nilpotent(partitions)
+    for row, col, param in stars:
         # a zero value is skipped: the nilpotent part holds no -0.0, so adding
         # it would leave the entry as it is
         if supplied.get(param):
             out[row - 1, col - 1] += supplied[param]
-    return out, supplied
+    return out
 
 
 def _with_base(deviation, structure):
@@ -181,11 +182,13 @@ def instantiate(pattern, values):
     MissingParameter
         If any parameter index of the pattern has no value.
     """
-    deviation, supplied = _deviation(pattern, values)
-    missing = sorted({param for _, _, param in pattern.stars} - supplied.keys())
+    needed = {param for _, _, param in pattern.stars}
+    supplied = _supplied(values, needed)
+    missing = sorted(needed - supplied.keys())
     if missing:
         raise MissingParameter(f"no value for parameter(s) {missing}")
-    return _with_base(deviation, pattern.base)
+    return _with_base(_deviation(pattern.base.partitions(), pattern.stars, supplied),
+                      pattern.base)
 
 
 def reduce_single_block(a, eigenvalue):

@@ -109,10 +109,10 @@ def _block_starts(partitions):
     return tuple(starts)
 
 
-def _group_spans(structure):
+def _group_spans(partitions):
     # index slice of each eigenvalue group's diagonal block in build_jcf
     return [slice(starts[0], starts[0] + sum(sizes))
-            for sizes, starts in zip(structure.partitions(), structure.block_starts())]
+            for sizes, starts in zip(partitions, _block_starts(partitions))]
 
 
 def jordan_block(size, eigenvalue):
@@ -215,8 +215,9 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
         input in that case.
     """
     m = as_matrix(m)
-    return _recover_groups(m, [(slice(None), None)], [(None, m)],
-                           cluster_tol, rank_tol)[0]
+    _check_tolerances(cluster_tol, rank_tol)
+    return _recover_groups(m, [(slice(None), None)], (None, m), cluster_tol, rank_tol,
+                           {}, {})
 
 
 def _check_tolerances(cluster_tol, rank_tol, names=("cluster_tol", "rank_tol")):
@@ -229,69 +230,67 @@ def _check_tolerances(cluster_tol, rank_tol, names=("cluster_tol", "rank_tol")):
             f"{names[0]} must be finite and non-negative, got {cluster_tol}")
 
 
-def _recover_groups(deviation, groups, labelings, cluster_tol, rank_tol):
-    # One structure per labeling of a block diagonal matrix.  groups lists a
-    # (slice, partition) pair per diagonal block of deviation; a labeling is
-    # a (bases, matrix) pair: per group the eigenvalue that its block is the
+def _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, spectra, weyrs):
+    # The structure of a block diagonal matrix under one labeling, for
+    # tolerances that passed _check_tolerances.  groups lists a (slice,
+    # partition) pair per diagonal block of deviation; the labeling is a
+    # (bases, matrix) pair: per group the eigenvalue that its block is the
     # deviation from (bases None: no offset, the block is the matrix's own),
     # and the whole matrix, whose Frobenius norm sets the clustering radius.
-    # Each block is eigensolved at most once and each (group, cluster) Weyr
-    # sequence computed once for all labelings, since neither depends on the
-    # bases; a cluster's eigenvalue is its base plus its local mean, rounded
-    # once.  Labelings are finished in order, so the errors are those of
-    # one call per labeling.  A partition, where given, says the block is
-    # exactly the nilpotent Jordan matrix of that partition: eigvals returns
-    # its spectrum as exact zeros and the rank tests give the partition, so
-    # neither is computed.  Entries far above the matrix's scale overflow the
-    # radius or the rank cutoffs; the errstate raises there instead of
-    # computing on with inf
-    _check_tolerances(cluster_tol, rank_tol)
-    spectra, weyrs, structures = {}, {}, []
+    # spectra (per group) and weyrs (per group and cluster members) are
+    # filled as they are computed; neither depends on the bases or on
+    # cluster_tol, so a call on the same blocks at the same rank_tol may
+    # pass the dicts of an earlier one and read them instead.  A cluster's
+    # eigenvalue is its base plus its local mean, rounded once.  A
+    # partition, where given, says the block is exactly the nilpotent
+    # Jordan matrix of that partition: eigvals returns its spectrum as exact
+    # zeros and the rank tests give the partition, so neither is computed.
+    # Entries far above the matrix's scale overflow the radius or the rank
+    # cutoffs; the errstate raises there instead of computing on with inf
+    bases, matrix = labeling
     with np.errstate(over="raise", invalid="raise"):
         try:
-            for bases, matrix in labelings:
-                radius = cluster_radius(matrix, cluster_tol)
-                placed = []
-                for g, (span, partition) in enumerate(groups):
-                    if g not in spectra:
-                        spectra[g] = (
-                            eigenvalues(deviation[span, span]) if partition is None
-                            else np.zeros(span.stop - span.start, dtype=complex))
-                    spectrum = _labeled(bases, g, spectra[g])
-                    for i, earlier in enumerate(placed):
-                        gap = abs(earlier[:, None] - spectrum).min()
-                        if gap <= radius:
-                            raise EigenvalueCollision(
-                                f"perturbed eigenvalue groups {i + 1} and "
-                                f"{len(placed) + 1} come within {gap:.3e} of each other")
-                    placed.append(spectrum)
-                blocks = []
-                for g, (span, partition) in enumerate(groups):
-                    if partition is not None:
-                        blocks.append((_labeled(bases, g, 0j), partition))
-                        continue
-                    spectrum = spectra[g]
-                    for members in _cluster(spectrum, radius):
-                        mult = len(members)
-                        local = complex(np.add.reduce(spectrum[members]) / mult)
-                        key = (g, tuple(members))
-                        if key not in weyrs:
-                            weyrs[key] = _weyr(deviation[span, span], local, mult, rank_tol)
-                        weyr = weyrs[key]
-                        mu = _labeled(bases, g, local)
-                        decreasing = all(weyr[i] >= weyr[i + 1]
-                                         for i in range(len(weyr) - 1))
-                        if sum(weyr) != mult or not decreasing:
-                            raise InconsistentRanks(
-                                f"rank sequence near {mu:.6g} yields Weyr {weyr} for "
-                                f"multiplicity {mult}; tolerances do not fit this input")
-                        blocks.append((mu, conjugate_partition(weyr)))
-                blocks.sort(key=lambda item: (item[0].real, item[0].imag))
-                structures.append(SegreStructure._from_parts(blocks))
+            radius = cluster_radius(matrix, cluster_tol)
+            placed = []
+            for g, (span, partition) in enumerate(groups):
+                if g not in spectra:
+                    spectra[g] = (
+                        eigenvalues(deviation[span, span]) if partition is None
+                        else np.zeros(span.stop - span.start, dtype=complex))
+                spectrum = _labeled(bases, g, spectra[g])
+                for i, earlier in enumerate(placed):
+                    gap = abs(earlier[:, None] - spectrum).min()
+                    if gap <= radius:
+                        raise EigenvalueCollision(
+                            f"perturbed eigenvalue groups {i + 1} and "
+                            f"{len(placed) + 1} come within {gap:.3e} of each other")
+                placed.append(spectrum)
+            blocks = []
+            for g, (span, partition) in enumerate(groups):
+                if partition is not None:
+                    blocks.append((_labeled(bases, g, 0j), partition))
+                    continue
+                spectrum = spectra[g]
+                for members in _cluster(spectrum, radius):
+                    mult = len(members)
+                    local = complex(np.add.reduce(spectrum[members]) / mult)
+                    key = (g, tuple(members))
+                    if key not in weyrs:
+                        weyrs[key] = _weyr(deviation[span, span], local, mult, rank_tol)
+                    weyr = weyrs[key]
+                    mu = _labeled(bases, g, local)
+                    decreasing = all(weyr[i] >= weyr[i + 1]
+                                     for i in range(len(weyr) - 1))
+                    if sum(weyr) != mult or not decreasing:
+                        raise InconsistentRanks(
+                            f"rank sequence near {mu:.6g} yields Weyr {weyr} for "
+                            f"multiplicity {mult}; tolerances do not fit this input")
+                    blocks.append((mu, conjugate_partition(weyr)))
+            blocks.sort(key=lambda item: (item[0].real, item[0].imag))
+            return SegreStructure._from_parts(blocks)
         except (FloatingPointError, OverflowError) as exc:
             raise ValueError(
                 f"matrix entries overflow the structure recovery: {exc}") from exc
-    return structures
 
 
 def _labeled(bases, g, local):

@@ -190,8 +190,6 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise DimensionMismatch(f"perturbation must be {big}x{big}, got {e.shape}")
 
     with np.errstate(over="raise", invalid="raise"):
-        c = companion(poly)
-        original = c + e
         eye = np.eye(big, dtype=complex)
         s = eye
         trace = []
@@ -202,10 +200,12 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
             exc.residual_trace = tuple(trace)
             return exc
 
-        # an input far outside the small-perturbation contract overflows S or
-        # the products with it; the errstate above raises there instead of
-        # computing on with inf
+        # an input far outside the small-perturbation contract overflows
+        # C + E, S or the products with it; the errstate above raises there
+        # instead of computing on with inf
         try:
+            c = companion(poly)
+            original = c + e
             while True:
                 # e = S^-1 (C + E) S - C: its first block row perturbs the
                 # coefficients, the rest is the unstructured part still to cancel

@@ -9,8 +9,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
-from versal import SegreStructure, build_jcf, numerical_rank  # noqa: E402
+from versal import SegreStructure, build_jcf, closure, numerical_rank  # noqa: E402
+
+@pytest.fixture(autouse=True)
+def no_kept_reading():
+    """Start every test without the reading of an earlier experiment.
+
+    ``perturbation_experiment`` keeps its last reading, so without this an
+    eigensolve count would depend on the tests that ran before it.
+    """
+    closure._reading.cache_clear()
+
 
 # Fixed eigenvalue pool, already in lexicographic (real, imag) order.
 EIGENVALUE_POOL = (0.0 + 0.0j, 1.0 + 0.0j, 2.0 + 1.0j)

@@ -374,6 +374,20 @@ class TestRecoverCommand:
         assert captured.out == ""
         assert captured.err == "error: matrix order 17 exceeds cap 16\n"
 
+    def test_overflowing_input_exit_1(self, tmp_path, capsys):
+        # C + E overflows before the first sweep; one error line, no traceback
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(poly_doc(coefficients=[[[1e308, 0.0]]])))
+        pert = write_matrix(tmp_path, [[-1e308]])
+        assert main(["recover", str(path), pert,
+                     "--out-poly", str(tmp_path / "rec.json"),
+                     "--out-transform", str(tmp_path / "s.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the iteration overflowed after 0 sweeps")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "rec.json").exists()
+
     def test_missing_perturbation_source(self, tmp_path, capsys):
         poly = str(FIXTURES / "poly_d2n2.json")
         assert main(["recover", poly]) == 2

@@ -1,4 +1,6 @@
 import cmath
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,10 +12,10 @@ from versal import (ClosureMode, ClosureReason, EigenvalueCollision,
                     perturbation_experiment, recover_structure,
                     transport_perturbation)
 from versal import closure, jordan
-from versal.deformation import _deviation, _with_base
+from versal.deformation import _deviation, _supplied, _with_base
 from versal.errors import VersalError
-from versal.jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, _group_spans,
-                           _recover_groups, cluster_radius)
+from versal.jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, _check_tolerances,
+                           _group_spans, _recover_groups, cluster_radius)
 from versal.linalg import MAX_ORDER
 
 from conftest import partition_multiset, partitions
@@ -140,12 +142,19 @@ class TestPerturbationExperiment:
 
 def numeric_experiment(structure, values, cluster_tol=DEFAULT_CLUSTER_TOL,
                        rank_tol=DEFAULT_RANK_TOL):
-    """perturbation_experiment with every group eigensolved and rank-tested."""
-    deviation, _ = _deviation(arnold_pattern(structure), values)
-    groups = [(span, None) for span in _group_spans(structure)]
+    """perturbation_experiment with every group eigensolved and rank-tested.
+
+    It neither reads nor keeps a reading of another experiment.
+    """
+    pattern = arnold_pattern(structure)
+    supplied = _supplied(values, {param for _, _, param in pattern.stars})
+    _check_tolerances(cluster_tol, rank_tol)
+    partitions = structure.partitions()
+    deviation = _deviation(partitions, pattern.stars, supplied)
+    groups = [(span, None) for span in _group_spans(partitions)]
     labeling = ([eig + 0j for eig, _ in structure.blocks],
                 _with_base(deviation, structure))
-    return _recover_groups(deviation, groups, [labeling], cluster_tol, rank_tol)[0]
+    return _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, {}, {})
 
 
 def outcome(run, *args):
@@ -305,17 +314,27 @@ class TestTransportPerturbation:
         hypothesis, cases = transport_cases()
 
         def experiments(structure, replacements, values):
+            # each side from scratch, reading no earlier experiment
             relabeled = SegreStructure(
                 [(r, sizes) for r, (_, sizes) in zip(replacements, structure.blocks)])
-            return (perturbation_experiment(structure, values),
-                    perturbation_experiment(relabeled, values))
+            sides = []
+            for side in (structure, relabeled):
+                closure._reading.cache_clear()
+                sides.append(perturbation_experiment(side, values))
+            return tuple(sides)
 
         @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
                              database=None)
         @hypothesis.given(cases)
         def check(case):
-            shared = outcome(transport_perturbation, *case)
-            assert shared == outcome(experiments, *case)
+            structure, _, values = case
+            alone = outcome(experiments, *case)
+            closure._reading.cache_clear()
+            assert outcome(transport_perturbation, *case) == alone
+            # right after the same experiment, as a caller asking both
+            # questions runs them: the first side reads the experiment's
+            outcome(perturbation_experiment, structure, values)
+            assert outcome(transport_perturbation, *case) == alone
 
         check()
 
@@ -326,8 +345,30 @@ class TestTransportPerturbation:
         left, right = transport_perturbation(b, [3.0, 5.0, 7.0], values)
         assert sorted(eigensolves) == [2, 3]
         eigensolves.clear()
+        closure._reading.cache_clear()
         assert perturbation_experiment(b, values) == left
         assert sorted(eigensolves) == [2, 3]
+        # right after that experiment on the same inputs, both sides read it
+        eigensolves.clear()
+        assert transport_perturbation(b, [3.0, 5.0, 7.0], values) == (left, right)
+        assert eigensolves == []
+
+    def test_not_counted_as_two_experiments(self, monkeypatch):
+        # a wrapper on the public name, such as a tracer that counts calls
+        # by wrapping module globals, sees only its callers' experiments
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = closure.perturbation_experiment
+        monkeypatch.setattr(closure, "perturbation_experiment", counted)
+        b = SegreStructure([(0.0, [2, 1]), (1.0, [2])])
+        assert transport_perturbation(b, [3.0, 7.0], {1: 1e-2}) == (
+            original(b, {1: 1e-2}), original(SegreStructure([(3.0, [2, 1]), (7.0, [2])]),
+                                              {1: 1e-2}))
+        assert calls == []
 
     def test_bridge_transports_to_shifted_eigenvalue(self):
         b = SegreStructure([(0.0, [3, 2])])
@@ -379,6 +420,148 @@ class TestTransportPerturbation:
     def test_wrong_replacement_count(self):
         with pytest.raises(ValueError):
             transport_perturbation(SegreStructure([(0.0, [2])]), [1.0, 2.0], {})
+
+
+@pytest.fixture
+def weyrs(monkeypatch):
+    calls = []
+
+    def counted(block, mu, mult, rank_tol):
+        calls.append(mult)
+        return original(block, mu, mult, rank_tol)
+
+    original = jordan._weyr
+    monkeypatch.setattr(jordan, "_weyr", counted)
+    return calls
+
+
+class TestKeptReading:
+    # an experiment keeps its reading (deviation, spectra, Weyr sequences),
+    # which depends only on the partitions, the values and rank_tol; the
+    # next experiment on the same three reads it instead of computing it
+    STRUCTURE = SegreStructure([(0.0, [2, 1]), (1.0, [2]), (2.0, [1])])
+    VALUES = {1: 1e-2, 6: 1e-2}
+
+    def test_relabeled_structure_computes_nothing(self, eigensolves, weyrs):
+        relabeled = SegreStructure([(-1j, [2, 1]), (5.0, [2]), (1e-3, [1])])
+        expected = outcome(numeric_experiment, relabeled, self.VALUES)
+        eigensolves.clear()
+        weyrs.clear()
+        first = perturbation_experiment(self.STRUCTURE, self.VALUES)
+        assert sorted(eigensolves) == [2, 3] and weyrs
+        eigensolves.clear()
+        weyrs.clear()
+        assert outcome(perturbation_experiment, relabeled, self.VALUES) == expected
+        assert perturbation_experiment(self.STRUCTURE, self.VALUES) == first
+        assert eigensolves == [] and weyrs == []
+
+    def test_other_cluster_tol_reads_the_spectra(self, eigensolves):
+        tols = (0.0, 1e-3, 0.5)
+        expected = [outcome(numeric_experiment, self.STRUCTURE, self.VALUES, tol)
+                    for tol in tols]
+        perturbation_experiment(self.STRUCTURE, self.VALUES)
+        eigensolves.clear()
+        kept = [outcome(perturbation_experiment, self.STRUCTURE, self.VALUES, tol)
+                for tol in tols]
+        assert eigensolves == []
+        assert kept == expected
+
+    def test_other_rank_tol_recomputes(self, eigensolves, weyrs):
+        for rank_tol, solves in [(DEFAULT_RANK_TOL, [2, 3]), (DEFAULT_RANK_TOL, []),
+                                 (1e-12, [2, 3]), (DEFAULT_RANK_TOL, [2, 3])]:
+            eigensolves.clear()
+            weyrs.clear()
+            kept = outcome(perturbation_experiment, self.STRUCTURE, self.VALUES,
+                           DEFAULT_CLUSTER_TOL, rank_tol)
+            assert sorted(eigensolves) == solves
+            assert bool(weyrs) == bool(solves)
+            assert kept == outcome(numeric_experiment, self.STRUCTURE, self.VALUES,
+                                   DEFAULT_CLUSTER_TOL, rank_tol)
+            # numeric_experiment neither reads nor replaces the kept reading
+
+    def test_other_values_recompute(self, eigensolves):
+        perturbation_experiment(self.STRUCTURE, self.VALUES)
+        eigensolves.clear()
+        perturbation_experiment(self.STRUCTURE, {1: 1e-2, 6: 2e-2})
+        assert sorted(eigensolves) == [2, 3]
+        eigensolves.clear()
+        # the same values in another order are the same values
+        perturbation_experiment(self.STRUCTURE, {6: 2e-2, 1: 1e-2})
+        assert eigensolves == []
+
+    @pytest.mark.parametrize("index,bad", [(3, 3.0), (1, True), (2, "2")])
+    def test_indices_checked_on_every_call(self, index, bad, eigensolves):
+        # 3.0 and True hash and compare equal to 3 and 1, but are no indices
+        perturbation_experiment(self.STRUCTURE, {index: 1e-2})
+        eigensolves.clear()
+        with pytest.raises(ValueError, match="parameter indices must be integers"):
+            perturbation_experiment(self.STRUCTURE, {bad: 1e-2})
+        with pytest.raises(ValueError, match="parameter indices must be integers"):
+            transport_perturbation(self.STRUCTURE, [3.0, 5.0, 7.0], {bad: 1e-2})
+        with pytest.raises(ValueError, match="parameter index 9 outside 1..8"):
+            perturbation_experiment(self.STRUCTURE, {index: 1e-2, 9: 1e-2})
+        with pytest.raises(ValueError, match="rank_tol must lie in"):
+            perturbation_experiment(self.STRUCTURE, {index: 1e-2}, rank_tol=1.0)
+        assert eigensolves == []
+        # a call that raised leaves the kept reading as it was
+        perturbation_experiment(self.STRUCTURE, {index: 1e-2})
+        assert eigensolves == []
+
+    @pytest.mark.parametrize("blocks", [
+        [(complex(-0.0, -0.0), [2, 1]), (-2j, [1])],
+        [(0.0, [2, 1]), (2j, [1])],
+    ], ids=str)
+    def test_signed_zero_parts(self, blocks, eigensolves):
+        # values equal up to the sign of a zero part share a key, and give
+        # the same bytes whether the second reads the first's or not
+        structure = SegreStructure(blocks)
+        variants = [{1: complex(1e-2, 0.0), 6: complex(0.0, -1e-2)},
+                    {1: complex(1e-2, -0.0), 6: complex(-0.0, -1e-2)}]
+        alone = []
+        for values in variants:
+            closure._reading.cache_clear()
+            alone.append(outcome(perturbation_experiment, structure, values))
+        assert alone[0] == alone[1]
+        assert alone[0] == outcome(numeric_experiment, structure, variants[0])
+        for first, second in (variants, variants[::-1]):
+            closure._reading.cache_clear()
+            perturbation_experiment(structure, first)
+            eigensolves.clear()
+            assert outcome(perturbation_experiment, structure, second) == alone[0]
+            assert eigensolves == []
+
+    def test_threads_sharing_the_kept_reading(self):
+        # eight threads, more than the cores, alternate two structures with
+        # the same partitions and two value sets under a short switch
+        # interval, so that the kept reading is read, filled and replaced
+        # under each other's feet: every result is the one-thread result
+        relabeled = SegreStructure([(-1j, [2, 1]), (5.0, [2]), (1e-3, [1])])
+        cases = [(side, values) for side in (self.STRUCTURE, relabeled)
+                 for values in (self.VALUES, {2: 3e-2, 7: 1e-2, 8: -1e-2})]
+        expected = [outcome(numeric_experiment, *case) for case in cases]
+        barrier = threading.Barrier(8)
+        wrong = []
+
+        def run(offset):
+            barrier.wait(timeout=60)
+            for k in range(40):
+                at = (offset + k) % len(cases)
+                got = outcome(perturbation_experiment, *cases[at])
+                if got != expected[at]:
+                    wrong.append((at, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 @pytest.mark.parametrize("blocks", [[(0.0, [17])], [(0.0, [2000])],

@@ -5,7 +5,7 @@ from versal import (MissingParameter, PivotBreakdown, SegreStructure, Shape,
                     alternate_pattern, arnold_pattern, build_jcf, eigenvalues,
                     frobenius_norm, instantiate, orbit_codim,
                     reduce_single_block, solve_linear)
-from versal.deformation import _layout, _parameter_groups
+from versal.deformation import _layout
 from versal.jordan import jordan_block
 
 from conftest import (eigen_match_distance, leverrier_charpoly, random_complex,
@@ -121,7 +121,7 @@ class TestLayouts:
     def test_parameter_groups_own_their_stars(self):
         for n in range(1, 7):
             for s in structures_of_size(n):
-                owner = _parameter_groups(s)
+                owner = _layout(s.partitions())[2]
                 assert len(owner) == orbit_codim(s)
                 ends = np.cumsum([sum(sizes) for sizes in s.partitions()])
                 for pattern in (arnold_pattern(s), alternate_pattern(s)):

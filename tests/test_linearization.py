@@ -215,6 +215,14 @@ class TestRecover:
                 recover(p, e1)
             assert info.value.residual_trace
 
+    def test_overflowing_input_raises_stagnation(self):
+        # C + E itself overflows, before the first sweep: the documented
+        # exception, not a raw FloatingPointError
+        with pytest.raises(StagnationDetected,
+                           match="overflowed after 0 sweeps") as info:
+            recover(MonicPolynomial([[[1e308]]]), [[-1e308]])
+        assert info.value.residual_trace == ()
+
     @pytest.mark.parametrize("d, n", [(2, 8), (4, 4), (8, 2), (16, 1)])
     def test_returned_result_meets_a_tight_tolerance(self, d, n):
         # at dn = 16 the tolerance is below u * ||C + E||_F, near the
