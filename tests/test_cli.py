@@ -156,6 +156,16 @@ class TestCodimCommand:
         assert "oracle=7" in captured.out and "oracle_agrees=no" in captured.out
         assert "commutator nullity disagrees" in captured.err
 
+    def test_oracle_overflow_exit_2(self, tmp_path, capsys):
+        # the difference of the two eigenvalues overflows; the oracle raises
+        # instead of returning a nullity that disagrees with the pattern count
+        path = write_segre(tmp_path, [(1e308, [1]), (-1e308, [1])])
+        assert main(["codim", path, "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert "oracle=" not in captured.out
+        assert "overflows" in captured.err
+        assert "disagrees" not in captured.err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")

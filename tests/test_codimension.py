@@ -1,9 +1,51 @@
+import numpy as np
 import pytest
 
-from versal import (SegreStructure, bundle_codim, orbit_codim,
-                    orbit_codim_oracle)
+from versal import (SegreStructure, build_jcf, bundle_codim, codimension,
+                    orbit_codim, orbit_codim_oracle)
+from versal.jordan import _group_spans
 
 from conftest import kron_commutator_nullity, partitions, structures_of_size
+
+
+def random_structures(st, eigenvalues, counts):
+    # Segre structures of total size at most 10 with a number of groups in
+    # counts, their eigenvalues drawn from eigenvalues
+    @st.composite
+    def structures(draw):
+        count = draw(st.integers(*counts))
+        n = draw(st.integers(count, 10))
+        cuts = sorted(draw(st.lists(st.integers(1, max(n - 1, 1)), min_size=count - 1,
+                                    max_size=count - 1, unique=True)))
+        eigs = draw(st.lists(st.sampled_from(eigenvalues), min_size=count,
+                             max_size=count, unique=True))
+        blocks = []
+        for eig, lo, hi in zip(eigs, [0, *cuts], [*cuts, n]):
+            rest, sizes = hi - lo, []
+            while rest:
+                sizes.append(draw(st.integers(1, min([rest, *sizes[-1:]]))))
+                rest -= sizes[-1]
+            blocks.append((eig, sizes))
+        return SegreStructure(blocks)
+
+    return structures()
+
+
+def jcf_piece(a_g, a_h):
+    # the piece X -> X @ a_h - a_g @ X of two diagonal blocks of build_jcf, as
+    # the oracle built it from them: complex, and taken as real where its
+    # imaginary part vanishes
+    rows, cols = a_g.shape[0], a_h.shape[0]
+    piece = np.zeros((rows, cols, rows, cols), dtype=complex)
+    i, j = np.arange(rows), np.arange(cols)
+    piece[i, :, i, :] = a_h.T
+    piece[:, j, :, j] -= a_g
+    piece = piece.reshape(rows * cols, rows * cols)
+    return piece.real if not piece.imag.any() else piece
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestOrbitCodim:
@@ -95,30 +137,103 @@ class TestOracle:
 
     def test_group_wise_matches_dense_kron_reference_random(self):
         hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
         eigenvalues = (0, 1, -1, 1j, -1j, 2.5, 1 + 1j, 1e-11, 1 + 1e-11j)
-
-        @st.composite
-        def structures(draw):
-            count = draw(st.integers(2, 3))
-            n = draw(st.integers(count, 10))
-            cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=count - 1,
-                                        max_size=count - 1, unique=True)))
-            eigs = draw(st.lists(st.sampled_from(eigenvalues), min_size=count,
-                                 max_size=count, unique=True))
-            blocks = []
-            for eig, lo, hi in zip(eigs, [0, *cuts], [*cuts, n]):
-                rest, sizes = hi - lo, []
-                while rest:
-                    sizes.append(draw(st.integers(1, min([rest, *sizes[-1:]]))))
-                    rest -= sizes[-1]
-                blocks.append((eig, sizes))
-            return SegreStructure(blocks)
 
         @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
                              database=None)
-        @hypothesis.given(structures())
+        @hypothesis.given(random_structures(hypothesis.strategies, eigenvalues, (2, 3)))
         def check(s):
             assert orbit_codim_oracle(s) == kron_commutator_nullity(s)
 
         check()
+
+    @pytest.mark.parametrize("far", [
+        [(1e308, [1]), (-1e308, [1])],
+        [(1e308j, [2]), (-1e308j, [1])],
+        # both parts are finite, but not the modulus, the piece's singular value
+        [(0.8e308 + 0.8e308j, [1]), (-0.8e308 - 0.8e308j, [1])],
+    ])
+    def test_overflowing_eigenvalue_difference_raises(self, far):
+        # the piece of two such groups has NaN or infinite singular values,
+        # which rank as zero and gave a nullity of 4 where it is 2
+        with pytest.raises(ValueError, match="overflows"):
+            orbit_codim_oracle(SegreStructure(far))
+
+    def test_far_apart_finite_difference_counts(self):
+        assert orbit_codim_oracle(SegreStructure([(1e300, [1]), (-1e300, [1])])) == 2
+
+
+# the 138 partitions of 1..MAX_ORACLE_ORDER, and the 938 ordered pairs of
+# them whose sizes add up to at most MAX_ORACLE_ORDER
+ORACLE_PARTITIONS = [p for k in range(1, 11) for p in partitions(k)]
+ORACLE_PAIRS = [(p, q) for p in ORACLE_PARTITIONS for q in ORACLE_PARTITIONS
+                if sum(p) + sum(q) <= 10]
+
+
+class TestEigenvalueFreePieces:
+    def test_key_space(self):
+        assert codimension.MAX_ORACLE_ORDER == 10
+        assert (len(ORACLE_PARTITIONS), len(ORACLE_PAIRS)) == (138, 938)
+
+    def test_match_pieces_cut_from_build_jcf(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        # complex values, signed zero parts and values whose differences
+        # are near the top of the float range without overflowing it
+        eigenvalues = (0, -0.0, -2j, complex(-0.0, 3), 1 + 1j, -2.5, 1e-11,
+                       1e300, -1e300, 1e300j, -1e300 + 1e300j)
+
+        @hypothesis.settings(max_examples=120, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(random_structures(hypothesis.strategies, eigenvalues, (1, 3)))
+        def check(s):
+            a = build_jcf(s)
+            spans = _group_spans(s.partitions())
+            for g, (eig_g, sizes_g) in enumerate(s.blocks):
+                own = jcf_piece(a[spans[g], spans[g]], a[spans[g], spans[g]])
+                assert same_bits(own, codimension._commutator_piece(sizes_g, sizes_g))
+                assert same_bits(np.linalg.svd(own, compute_uv=False),
+                                 codimension._self_singular_values(sizes_g))
+                for h in range(g + 1, len(s.blocks)):
+                    piece = jcf_piece(a[spans[g], spans[g]], a[spans[h], spans[h]])
+                    assert same_bits(piece,
+                                     codimension._cross_piece(eig_g, sizes_g, *s.blocks[h]))
+
+        check()
+        self.assert_caches_bounded_and_read_only()
+
+    def assert_caches_bounded_and_read_only(self):
+        singular = codimension._self_singular_values((2, 1))
+        piece = codimension._nilpotent_piece((2, 1), (1,))
+        for cached in (singular, piece):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+        assert codimension._self_singular_values.cache_info().currsize <= 138
+        assert codimension._nilpotent_piece.cache_info().currsize <= 938
+
+    def test_warm_caches_leave_one_svd_per_pair_of_groups(self, monkeypatch):
+        groups = [(0.0, [3, 1]), (1j, [2]), (-1.0, [2, 1]), (2.5, [1])]
+        structures = [SegreStructure(groups[:count]) for count in range(1, 5)]
+        expected = [orbit_codim_oracle(s) for s in structures]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for count, s, nullity in zip(range(1, 5), structures, expected):
+            calls.clear()
+            assert orbit_codim_oracle(s) == nullity == orbit_codim(s)
+            assert len(calls) == count * (count - 1) // 2, calls
+
+    def test_caches_stay_within_the_key_space(self):
+        # every structure the oracle accepts maps to keys among those above
+        for sizes in ORACLE_PARTITIONS:
+            orbit_codim_oracle(SegreStructure([(0.0, sizes)]))
+        for p, q in ORACLE_PAIRS:
+            orbit_codim_oracle(SegreStructure([(0.0, p), (1.0, q)]))
+        assert codimension._self_singular_values.cache_info().currsize == 138
+        assert codimension._nilpotent_piece.cache_info().currsize == 938
+        self.assert_caches_bounded_and_read_only()
