@@ -18,7 +18,7 @@ from enum import Enum
 from .codimension import bundle_codim, orbit_codim
 from .deformation import _deviation, _layout, _supplied, _with_base
 from .errors import EigenvalueCollision, SizeMismatch
-from .jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SegreStructure,
+from .jordan import (DEFAULT_CLUSTER_TOL, DEFAULT_RANK_TOL, SegreStructure, _Kept,
                      _check_tolerances, _group_spans, _recover_groups)
 from .linalg import check_order
 
@@ -108,14 +108,21 @@ def perturbation_experiment(structure, values,
     gets its base eigenvalue and partition with no eigensolve and no rank
     SVDs.
 
-    The deviation blocks, the spectra and the Weyr sequences depend only on
-    the structure's partitions, the values and ``rank_tol``, not on its
-    eigenvalues or on ``cluster_tol``.  The last experiment's are kept, so
-    an experiment that reads the same partitions and values at the same
-    ``rank_tol`` as the one before it, such as the same structure relabeled
-    or :func:`transport_perturbation` right after an experiment, runs no
-    eigensolve and no rank SVD that the earlier one ran.  The inputs are
-    validated on every call, and the result is the same either way.
+    What an experiment reads depends only on the structure's partitions,
+    the values and ``rank_tol``, not on its eigenvalues or on
+    ``cluster_tol``: the deviation blocks, each perturbed group's spectrum
+    and its single-linkage merge edges (the minimum spanning tree of the
+    spectrum under ``abs(a - b)``, whose edges within a radius join the
+    same clusters as all pairs within it), and each cluster's local mean,
+    Weyr sequence and partition.  The last experiment's reading is kept,
+    together with its last successful result.  An experiment that reads
+    the same partitions and values at the same ``rank_tol`` as the one
+    before it, such as the same structure relabeled or
+    :func:`transport_perturbation` right after an experiment, cuts the kept
+    edges at its own radius and runs no eigensolve and no rank SVD that the
+    earlier one ran; on the same structure at the same tolerances it
+    returns the kept result.  The inputs are validated on every call, and
+    the result is the same either way.
 
     Raises
     ------
@@ -142,20 +149,36 @@ def _experiment(structure, values, cluster_tol, rank_tol):
     partitions = structure.partitions()
     supplied = _supplied(values, range(1, len(_layout(partitions)[2]) + 1))
     _check_tolerances(cluster_tol, rank_tol)
-    deviation, groups, spectra, weyrs = _reading(
-        partitions, tuple(sorted(supplied.items())), rank_tol)
+    reading = _reading(partitions, tuple(sorted(supplied.items())), rank_tol)
+    # equal blocks give the same bases below, signed zeros included; the
+    # type of cluster_tol sets the precision of the clustering radius
+    key = (structure.blocks, cluster_tol, type(cluster_tol))
+    last = reading.result
+    if last is not None and last[0] == key:
+        return last[1]
     # each group's base is its diagonal entry in build_jcf
     labeling = ([eig + 0j for eig, _ in structure.blocks],
-                _with_base(deviation, structure))
-    return _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol,
-                           spectra, weyrs)
+                _with_base(reading.deviation, structure))
+    result = _recover_groups(reading.deviation, reading.groups, labeling, cluster_tol,
+                             rank_tol, reading)
+    reading.result = (key, result)
+    return result
+
+
+class _Reading(_Kept):
+    # what experiments on one key read: the deviation N + P, the groups for
+    # _recover_groups and what it keeps, which they fill and share, and the
+    # last successful experiment's (key, result)
+    __slots__ = ("deviation", "groups", "result")
+
+    def __init__(self, deviation, groups):
+        super().__init__()
+        self.deviation, self.groups, self.result = deviation, groups, None
 
 
 @functools.lru_cache(maxsize=1)
 def _reading(partitions, supplied_items, rank_tol):
-    # What an experiment reads, keyed by validated values only: the
-    # deviation N + P, the groups for _recover_groups and its spectra and
-    # weyrs dicts, which the experiments on this key fill and share.  Equal
+    # What an experiment reads, keyed by validated values only.  Equal
     # values that differ in the sign of a zero part share a key; they give
     # the same deviation, since adding a signed zero to an entry that
     # holds +0 or +1 leaves it as it is, and a zero value is skipped
@@ -169,7 +192,7 @@ def _reading(partitions, supplied_items, rank_tol):
     groups = tuple((span, None if g in moved else sizes)
                    for g, (span, sizes) in enumerate(zip(_group_spans(partitions),
                                                          partitions)))
-    return deviation, groups, {}, {}
+    return _Reading(deviation, groups)
 
 
 def transport_perturbation(structure, replacement_eigenvalues, values):
@@ -184,8 +207,9 @@ def transport_perturbation(structure, replacement_eigenvalues, values):
     matrices in one bundle react to it with the same partition multiset:
     the two results must agree up to eigenvalue values.  The second
     experiment reads the same partitions and values as the first, so it
-    reuses its eigensolves and rank SVDs, and so does the first when the
-    same experiment ran just before the transport.
+    reuses its eigensolves, merge edges and rank SVDs; the first returns
+    the kept result when the same experiment ran just before the
+    transport.
 
     Raises
     ------

@@ -14,7 +14,8 @@ that difference is exactly zero for a group with itself.  So the singular
 values of a group's piece with itself are computed once per partition, and
 the eigenvalue-free piece of two groups once per pair of partitions; under
 ``MAX_ORACLE_ORDER`` the 138 partitions and 938 pairs of them bound both
-caches.
+caches.  The nullity itself is kept per structure, in a cache bounded by
+``_KEPT_NULLITIES``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .jordan import _nilpotent
 from .linalg import RANK_TOL
 
 MAX_ORACLE_ORDER = 10
+# structures whose nullity the oracle keeps
+_KEPT_NULLITIES = 512
 
 
 def orbit_codim(structure):
@@ -45,10 +48,14 @@ def orbit_codim_oracle(structure):
     """Nullity of the commutator map ``X -> X@A - A@X`` at ``A = build_jcf``.
 
     ``A`` is block diagonal by eigenvalue group, so the map splits into the
-    pieces ``X_gh -> X_gh@A_h - A_g@X_gh`` on the blocks of ``X``; their
-    singular values together are those of the ``n^2 x n^2`` matrix of the
-    map.  The rank counts those above ``linalg.RANK_TOL`` times the largest
-    of them.  Only intended for validation; capped at total size 10.
+    pieces ``X_gh -> X_gh@A_h - A_g@X_gh`` on the blocks of ``X``, and its
+    rank is the sum of theirs.  Each piece's rank counts its singular values
+    above ``linalg.RANK_TOL`` times the largest of them, so that pieces of
+    distant eigenvalues, whose singular values are about their distance,
+    do not push the others' below the cutoff.  The nullities of the most
+    recently used structures, up to a fixed number, are kept, so a structure
+    seen before costs one lookup.  Only intended for validation; capped at
+    total size 10.
 
     Raises
     ------
@@ -60,17 +67,27 @@ def orbit_codim_oracle(structure):
     n = structure.total_size
     if n > MAX_ORACLE_ORDER:
         raise ValueError(f"oracle capped at total size {MAX_ORACLE_ORDER}, got {n}")
-    blocks = structure.blocks
-    singular = [_self_singular_values(sizes) for _, sizes in blocks]
+    return _nullity(structure.blocks)
+
+
+@functools.lru_cache(maxsize=_KEPT_NULLITIES)
+def _nullity(blocks):
+    # keyed by validated blocks: equal eigenvalues that differ in the sign of
+    # a zero part give the same pieces, since _cross_piece adds +0j first
+    n = sum(sum(sizes) for _, sizes in blocks)
+    rank = sum(_rank(_self_singular_values(sizes)) for _, sizes in blocks)
     for g, (eig_g, sizes_g) in enumerate(blocks):
         for eig_h, sizes_h in blocks[g + 1:]:
-            s = np.linalg.svd(_cross_piece(eig_g, sizes_g, eig_h, sizes_h),
-                              compute_uv=False)
             # the (h, g) piece is the (g, h) piece transposed, negated and
             # permuted, so it has the same singular values
-            singular += [s, s]
-    singular = np.concatenate(singular)
-    return n * n - int(np.count_nonzero(singular > RANK_TOL * singular.max()))
+            rank += 2 * _rank(np.linalg.svd(_cross_piece(eig_g, sizes_g, eig_h, sizes_h),
+                                            compute_uv=False))
+    return n * n - rank
+
+
+def _rank(singular):
+    # singular values in descending order above RANK_TOL times the largest
+    return int(np.count_nonzero(singular > RANK_TOL * singular[0]))
 
 
 @functools.cache

@@ -159,12 +159,35 @@ def conjugate_partition(sizes):
     return tuple(sum(1 for k in sizes if k >= j) for j in range(1, max(sizes) + 1))
 
 
-def _cluster(values, threshold):
-    """Index lists of single-linkage clusters under the distance bound."""
-    # Python complex numbers: the same sums and moduli as numpy's scalars,
-    # computed faster
-    values = np.asarray(values).tolist()
-    parent = list(range(len(values)))
+def _merge_edges(values):
+    # Single-linkage merge edges of a spectrum: the n - 1 edges (weight, i, j)
+    # of a minimum spanning tree under the weight abs(values[i] - values[j]),
+    # by weight.  The tree's edges of weight <= r join the same values as all
+    # pairs within r do, so _cut of those edges gives the clusters at radius
+    # r; Python complex numbers give the same moduli as numpy's scalars,
+    # faster
+    values = values.tolist()
+    best = [abs(values[0] - value) for value in values]
+    link = [0] * len(values)
+    todo = list(range(1, len(values)))
+    edges = []
+    while todo:
+        j = min(todo, key=best.__getitem__)
+        todo.remove(j)
+        edges.append((best[j], link[j], j))
+        at = values[j]
+        for k in todo:
+            weight = abs(at - values[k])
+            if weight < best[k]:
+                best[k], link[k] = weight, j
+    edges.sort()
+    return edges
+
+
+def _cut(n, edges):
+    # the clusters of n values that the given merge edges join: tuples of
+    # member indices, in the order of their first members
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -172,15 +195,12 @@ def _cluster(values, threshold):
             i = parent[i]
         return i
 
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) <= threshold:
-                parent[find(i)] = find(j)
-
-    groups = {}
-    for i in range(len(values)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    for _, i, j in edges:
+        parent[find(i)] = find(j)
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    return tuple(tuple(members) for members in clusters.values())
 
 
 def cluster_radius(m, cluster_tol):
@@ -217,7 +237,7 @@ def recover_structure(m, cluster_tol=DEFAULT_CLUSTER_TOL, rank_tol=DEFAULT_RANK_
     m = as_matrix(m)
     _check_tolerances(cluster_tol, rank_tol)
     return _recover_groups(m, [(slice(None), None)], (None, m), cluster_tol, rank_tol,
-                           {}, {})
+                           _Kept())
 
 
 def _check_tolerances(cluster_tol, rank_tol, names=("cluster_tol", "rank_tol")):
@@ -230,24 +250,42 @@ def _check_tolerances(cluster_tol, rank_tol, names=("cluster_tol", "rank_tol")):
             f"{names[0]} must be finite and non-negative, got {cluster_tol}")
 
 
-def _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, spectra, weyrs):
+class _Kept:
+    """What _recover_groups reads off one set of blocks at one rank_tol.
+
+    Per group ``g``, ``spectra`` holds its spectrum and ``edges`` its merge
+    edges (see ``_merge_edges``); per ``(g, count)``, ``cuts`` holds the
+    clusters that its first ``count`` edges join; per cluster ``(g,
+    members)``, ``clusters`` holds its local mean, its Weyr sequence and the
+    partition conjugate to it, or None where the sequence does not fit the
+    cluster's multiplicity.  None of it depends on a labeling's eigenvalues
+    or on ``cluster_tol``.
+    """
+
+    __slots__ = ("spectra", "edges", "cuts", "clusters")
+
+    def __init__(self):
+        self.spectra, self.edges, self.cuts, self.clusters = {}, {}, {}, {}
+
+
+def _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, kept):
     # The structure of a block diagonal matrix under one labeling, for
     # tolerances that passed _check_tolerances.  groups lists a (slice,
     # partition) pair per diagonal block of deviation; the labeling is a
     # (bases, matrix) pair: per group the eigenvalue that its block is the
     # deviation from (bases None: no offset, the block is the matrix's own),
     # and the whole matrix, whose Frobenius norm sets the clustering radius.
-    # spectra (per group) and weyrs (per group and cluster members) are
-    # filled as they are computed; neither depends on the bases or on
-    # cluster_tol, so a call on the same blocks at the same rank_tol may
-    # pass the dicts of an earlier one and read them instead.  A cluster's
-    # eigenvalue is its base plus its local mean, rounded once.  A
+    # kept, a _Kept, is filled as its entries are computed, so a call on the
+    # same blocks at the same rank_tol may pass an earlier call's and read
+    # them instead: it then cuts the kept merge edges at its own radius.  A
+    # cluster's eigenvalue is its base plus its local mean, rounded once.  A
     # partition, where given, says the block is exactly the nilpotent
     # Jordan matrix of that partition: eigvals returns its spectrum as exact
     # zeros and the rank tests give the partition, so neither is computed.
     # Entries far above the matrix's scale overflow the radius or the rank
     # cutoffs; the errstate raises there instead of computing on with inf
     bases, matrix = labeling
+    spectra, edges, cuts, clusters = kept.spectra, kept.edges, kept.cuts, kept.clusters
     with np.errstate(over="raise", invalid="raise"):
         try:
             radius = cluster_radius(matrix, cluster_tol)
@@ -271,26 +309,42 @@ def _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, spectra,
                     blocks.append((_labeled(bases, g, 0j), partition))
                     continue
                 spectrum = spectra[g]
-                for members in _cluster(spectrum, radius):
-                    mult = len(members)
-                    local = complex(np.add.reduce(spectrum[members]) / mult)
-                    key = (g, tuple(members))
-                    if key not in weyrs:
-                        weyrs[key] = _weyr(deviation[span, span], local, mult, rank_tol)
-                    weyr = weyrs[key]
+                if g not in edges:
+                    edges[g] = _merge_edges(spectrum)
+                # the edges are sorted, so those within the radius lead
+                within = sum(weight <= radius for weight, _, _ in edges[g])
+                if (g, within) not in cuts:
+                    cuts[g, within] = _cut(len(spectrum), edges[g][:within])
+                for members in cuts[g, within]:
+                    key = (g, members)
+                    if key not in clusters:
+                        clusters[key] = _read_cluster(deviation[span, span], spectrum,
+                                                      members, rank_tol)
+                    local, weyr, sizes = clusters[key]
                     mu = _labeled(bases, g, local)
-                    decreasing = all(weyr[i] >= weyr[i + 1]
-                                     for i in range(len(weyr) - 1))
-                    if sum(weyr) != mult or not decreasing:
+                    if sizes is None:
                         raise InconsistentRanks(
                             f"rank sequence near {mu:.6g} yields Weyr {weyr} for "
-                            f"multiplicity {mult}; tolerances do not fit this input")
-                    blocks.append((mu, conjugate_partition(weyr)))
+                            f"multiplicity {len(members)}; tolerances do not fit "
+                            "this input")
+                    blocks.append((mu, sizes))
             blocks.sort(key=lambda item: (item[0].real, item[0].imag))
             return SegreStructure._from_parts(blocks)
         except (FloatingPointError, OverflowError) as exc:
             raise ValueError(
                 f"matrix entries overflow the structure recovery: {exc}") from exc
+
+
+def _read_cluster(block, spectrum, members, rank_tol):
+    # a cluster's local mean, Weyr sequence and partition (None where the
+    # sequence is not weakly decreasing or does not add up to the cluster's
+    # multiplicity)
+    mult = len(members)
+    local = complex(np.add.reduce(spectrum[list(members)]) / mult)
+    weyr = _weyr(block, local, mult, rank_tol)
+    decreasing = all(weyr[i] >= weyr[i + 1] for i in range(len(weyr) - 1))
+    sizes = conjugate_partition(weyr) if sum(weyr) == mult and decreasing else None
+    return local, weyr, sizes
 
 
 def _labeled(bases, g, local):

@@ -11,16 +11,20 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from versal import SegreStructure, build_jcf, closure, numerical_rank  # noqa: E402
+from versal import (SegreStructure, build_jcf, closure, codimension,  # noqa: E402
+                    numerical_rank)
+from versal.jordan import _group_spans  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def no_kept_reading():
     """Start every test without the reading of an earlier experiment.
 
-    ``perturbation_experiment`` keeps its last reading, so without this an
-    eigensolve count would depend on the tests that ran before it.
+    ``perturbation_experiment`` keeps its last reading and
+    ``orbit_codim_oracle`` its recent nullities, so without this an
+    eigensolve or SVD count would depend on the tests that ran before it.
     """
     closure._reading.cache_clear()
+    codimension._nullity.cache_clear()
 
 
 # Fixed eigenvalue pool, already in lexicographic (real, imag) order.
@@ -62,12 +66,55 @@ def kron_commutator_nullity(structure):
     """Nullity of ``X -> X@A - A@X`` at ``A = build_jcf``, from its dense matrix.
 
     Reference for the group-wise oracle: the whole ``n^2 x n^2`` Kronecker
-    matrix of the map, ranked by ``numerical_rank``.
+    matrix of the map on column-major ``vec(X)``.  The map sends each block
+    ``X_gh`` of ``X`` (rows of group g, columns of group h) into itself, so
+    the matrix is block diagonal over the pairs of groups, which is checked
+    here; each diagonal block is ranked by ``numerical_rank``, against its
+    own largest singular value.
     """
     n = structure.total_size
     a = build_jcf(structure)
     eye = np.eye(n)
-    return n * n - numerical_rank(np.kron(a.T, eye) - np.kron(eye, a))
+    kron = np.kron(a.T, eye) - np.kron(eye, a)
+    at = np.arange(n * n).reshape(n, n, order="F")  # X[i, j] is vec(X)[at[i, j]]
+    spans = _group_spans(structure.partitions())
+    outside = np.ones(kron.shape, dtype=bool)
+    rank = 0
+    for rows in spans:
+        for cols in spans:
+            block = np.ix_(at[rows, cols].ravel(), at[rows, cols].ravel())
+            outside[block] = False
+            rank += numerical_rank(kron[block])
+    assert not kron[outside].any()
+    return n * n - rank
+
+
+def cluster(values, threshold):
+    """Index lists of single-linkage clusters under the distance bound.
+
+    Reference for the cut of kept merge edges in ``jordan._recover_groups``:
+    every pair within the bound joins, clusters in the order of their first
+    members.
+    """
+    # Python complex numbers: the same moduli as the code under test
+    values = np.asarray(values).tolist()
+    parent = list(range(len(values)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if abs(values[i] - values[j]) <= threshold:
+                parent[find(i)] = find(j)
+
+    groups = {}
+    for i in range(len(values)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 def leverrier_charpoly(a):

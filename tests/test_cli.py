@@ -166,6 +166,17 @@ class TestCodimCommand:
         assert "overflows" in captured.err
         assert "disagrees" not in captured.err
 
+    @pytest.mark.parametrize("gap", [1e11, 1e13])
+    def test_oracle_far_apart_eigenvalues_agree(self, tmp_path, capsys, gap):
+        # the piece of two groups this far apart has singular values of about
+        # the gap; ranked against the whole map's largest, the 2-block's own
+        # piece fell below the cutoff and the oracle read 5
+        path = write_segre(tmp_path, [(0.0, [2]), (gap, [1])])
+        assert main(["codim", path, "--oracle"]) == 0
+        captured = capsys.readouterr()
+        assert "oracle=3" in captured.out and "oracle_agrees=yes" in captured.out
+        assert captured.err == ""
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")

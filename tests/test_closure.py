@@ -154,7 +154,8 @@ def numeric_experiment(structure, values, cluster_tol=DEFAULT_CLUSTER_TOL,
     groups = [(span, None) for span in _group_spans(partitions)]
     labeling = ([eig + 0j for eig, _ in structure.blocks],
                 _with_base(deviation, structure))
-    return _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, {}, {})
+    return _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol,
+                           jordan._Kept())
 
 
 def outcome(run, *args):
@@ -334,6 +335,13 @@ class TestTransportPerturbation:
             # right after the same experiment, as a caller asking both
             # questions runs them: the first side reads the experiment's
             outcome(perturbation_experiment, structure, values)
+            assert outcome(transport_perturbation, *case) == alone
+            # the kept result is keyed by cluster_tol: an experiment at a
+            # second one, between the first and the transport, is its own
+            closure._reading.cache_clear()
+            other = outcome(perturbation_experiment, structure, values, 1e-3)
+            outcome(perturbation_experiment, structure, values)
+            assert outcome(perturbation_experiment, structure, values, 1e-3) == other
             assert outcome(transport_perturbation, *case) == alone
 
         check()
@@ -530,14 +538,60 @@ class TestKeptReading:
             assert outcome(perturbation_experiment, structure, second) == alone[0]
             assert eigensolves == []
 
+    @pytest.fixture
+    def svds(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_repeated_experiment_returns_the_kept_result(self, eigensolves, svds):
+        # the structure again, and with its eigenvalue 0.0 as -0.0, which
+        # gives the same bases and so shares the kept result
+        first = perturbation_experiment(self.STRUCTURE, self.VALUES)
+        assert eigensolves and svds
+        eigensolves.clear()
+        svds.clear()
+        signed = SegreStructure([(-0.0, [2, 1]), (1.0, [2]), (2.0, [1])])
+        for structure in (self.STRUCTURE, signed, self.STRUCTURE):
+            again = perturbation_experiment(structure, self.VALUES)
+            assert again is first
+        assert eigensolves == [] and svds == []
+        closure._reading.cache_clear()
+        assert repr(perturbation_experiment(signed, self.VALUES)) == repr(first)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_CLUSTER_TOL, 0.0, 1e-3, 0.05, 0.5])
+    def test_kept_clusters_match_a_fresh_run(self, tol, svds):
+        # a relabeled structure, or the structure at another cluster_tol,
+        # cuts the kept merge edges at its own radius and reads the kept
+        # means and partitions: the result of a run from scratch
+        relabeled = SegreStructure([(-1j, [2, 1]), (5.0, [2]), (1e-3, [1])])
+        for side in (self.STRUCTURE, relabeled):
+            closure._reading.cache_clear()
+            fresh = outcome(perturbation_experiment, side, self.VALUES, tol)
+            closure._reading.cache_clear()
+            perturbation_experiment(self.STRUCTURE, self.VALUES)
+            svds.clear()
+            assert outcome(perturbation_experiment, side, self.VALUES, tol) == fresh
+            if tol == DEFAULT_CLUSTER_TOL:
+                # the same clusters as the first experiment: no rank SVD
+                assert svds == []
+
     def test_threads_sharing_the_kept_reading(self):
         # eight threads, more than the cores, alternate two structures with
-        # the same partitions and two value sets under a short switch
-        # interval, so that the kept reading is read, filled and replaced
-        # under each other's feet: every result is the one-thread result
+        # the same partitions, two value sets and two cluster_tol under a
+        # short switch interval, so that the kept reading and result are
+        # read, filled and replaced under each other's feet: every result
+        # is the one-thread result
         relabeled = SegreStructure([(-1j, [2, 1]), (5.0, [2]), (1e-3, [1])])
-        cases = [(side, values) for side in (self.STRUCTURE, relabeled)
-                 for values in (self.VALUES, {2: 3e-2, 7: 1e-2, 8: -1e-2})]
+        cases = [(side, values, tol) for side in (self.STRUCTURE, relabeled)
+                 for values in (self.VALUES, {2: 3e-2, 7: 1e-2, 8: -1e-2})
+                 for tol in (DEFAULT_CLUSTER_TOL, 1e-3)]
         expected = [outcome(numeric_experiment, *case) for case in cases]
         barrier = threading.Barrier(8)
         wrong = []

@@ -118,11 +118,14 @@ class TestOracle:
     @pytest.mark.parametrize("pool", [
         (0.0, 1.0, -2.0),
         (1j, -1.0 - 1.0j, 2.0 + 0.5j),
-        # groups 1e-11 apart: a piece coupling two of them has singular
-        # values below the cutoff once a block of size 2 or more makes the
-        # largest singular value about 1, so both oracles exceed the formula
+        # groups 1e-11 apart: a piece coupling a block of size 2 or more
+        # with another group has singular values of about 1 and some far
+        # below RANK_TOL times that, so both oracles exceed the formula
         (0.0, 1e-11, 2e-11),
         (1.0, 1.0 + 1e-11j, 1.0 - 1e-11),
+        # groups 1e11 and more apart: each piece is ranked against its own
+        # largest singular value, so the formula holds
+        (0.0, 1e11, -1e13j),
     ])
     def test_group_wise_matches_dense_kron_reference(self, pool):
         near = abs(pool[1] - pool[0]) < 1e-9
@@ -161,6 +164,39 @@ class TestOracle:
 
     def test_far_apart_finite_difference_counts(self):
         assert orbit_codim_oracle(SegreStructure([(1e300, [1]), (-1e300, [1])])) == 2
+
+    @pytest.mark.parametrize("gap", [1e10, 1e11, 1e13])
+    def test_far_apart_groups_keep_their_pieces_ranks(self, gap):
+        # each piece is ranked against its own largest singular value: the
+        # cross piece's, about the gap, no longer pushes the 2-block's own
+        # piece, whose nonzero singular value is 1, below the cutoff
+        s = SegreStructure([(0.0, [2]), (gap, [1])])
+        assert orbit_codim_oracle(s) == kron_commutator_nullity(s) == orbit_codim(s) == 3
+
+
+class TestKeptNullities:
+    def test_signed_zero_shares_the_kept_nullity(self, monkeypatch):
+        s = SegreStructure([(0.0, [2, 1]), (1j, [2]), (-1.0, [1])])
+        nullity = orbit_codim_oracle(s)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for blocks in ([(0.0, [2, 1]), (1j, [2]), (-1.0, [1])],
+                       [(-0.0, [2, 1]), (complex(-0.0, 1), [2]), (complex(-1, -0.0), [1])]):
+            assert orbit_codim_oracle(SegreStructure(blocks)) == nullity == orbit_codim(s)
+        assert calls == []
+
+    def test_bounded_by_its_constant(self):
+        bound = codimension._KEPT_NULLITIES
+        assert codimension._nullity.cache_info().maxsize == bound
+        for k in range(bound + 20):
+            assert orbit_codim_oracle(SegreStructure([(float(k), [1])])) == 1
+        assert codimension._nullity.cache_info().currsize == bound
 
 
 # the 138 partitions of 1..MAX_ORACLE_ORDER, and the 938 ordered pairs of
@@ -224,9 +260,16 @@ class TestEigenvalueFreePieces:
         original = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", counted)
         for count, s, nullity in zip(range(1, 5), structures, expected):
+            # a structure whose nullity is not kept: the pieces' caches
+            # leave one SVD per pair of distinct groups
+            codimension._nullity.cache_clear()
             calls.clear()
             assert orbit_codim_oracle(s) == nullity == orbit_codim(s)
             assert len(calls) == count * (count - 1) // 2, calls
+            # the same structure again: its nullity is kept
+            calls.clear()
+            assert orbit_codim_oracle(s) == nullity
+            assert calls == []
 
     def test_caches_stay_within_the_key_space(self):
         # every structure the oracle accepts maps to keys among those above

@@ -5,9 +5,10 @@ import pytest
 
 from versal import (InconsistentRanks, SegreStructure, build_jcf,
                     conjugate_partition, recover_structure)
+from versal import jordan
 from versal.jordan import jordan_block
 
-from conftest import (conditioned_matrix, partitions, structures_close,
+from conftest import (cluster, conditioned_matrix, partitions, structures_close,
                       structures_of_size)
 
 
@@ -239,3 +240,58 @@ class TestRecoverStructure:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow"):
                 recover_structure(m)
+
+
+class TestMergeEdgeCut:
+    # _recover_groups clusters a spectrum by cutting its kept merge edges at
+    # the radius; conftest.cluster, which joins every pair within it, is the
+    # reference
+    @staticmethod
+    def cut_at(values, radius):
+        # as _recover_groups does: the sorted edges within the radius lead
+        edges = jordan._merge_edges(np.array(values, dtype=complex))
+        within = sum(weight <= radius for weight, _, _ in edges)
+        return edges, jordan._cut(len(values), edges[:within])
+
+    def test_matches_single_linkage(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # a coarse grid, so that values repeat and distances tie
+        parts = st.sampled_from((0.0, -0.0, 1e-7, -1e-7, 3e-7, 0.5, 1.0, -1.0, 2.0))
+
+        @st.composite
+        def cases(draw):
+            values = draw(st.lists(st.builds(complex, parts, parts),
+                                   min_size=1, max_size=16))
+            pairs = [abs(a - b) for a in values for b in values]
+            # radius 0, exactly one pairwise distance, one either side of
+            # it, or anything
+            radius = draw(st.one_of(
+                st.just(0.0),
+                st.sampled_from(pairs),
+                st.sampled_from(pairs).map(lambda d: np.nextafter(d, np.inf)),
+                st.sampled_from(pairs).map(lambda d: np.nextafter(d, -np.inf)),
+                st.floats(0.0, 5.0)))
+            return values, float(radius)
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(cases())
+        def check(case):
+            values, radius = case
+            edges, clusters = self.cut_at(values, radius)
+            assert len(edges) == len(values) - 1
+            assert edges == sorted(edges)
+            assert all(weight == abs(values[i] - values[j]) for weight, i, j in edges)
+            assert clusters == tuple(map(tuple, cluster(values, radius)))
+
+        check()
+
+    def test_duplicates_and_a_radius_on_a_distance(self):
+        values = [0j, 0j, 1e-7 + 0j, 3e-7 + 0j, 1 + 0j, 1 + 0j]
+        for radius, expected in [(0.0, ((0, 1), (2,), (3,), (4, 5))),
+                                 (1e-7, ((0, 1, 2), (3,), (4, 5))),
+                                 (2e-7, ((0, 1, 2, 3), (4, 5))),
+                                 (1.0, ((0, 1, 2, 3, 4, 5),))]:
+            assert self.cut_at(values, radius)[1] == expected
+            assert tuple(map(tuple, cluster(values, radius))) == expected
