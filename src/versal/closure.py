@@ -12,9 +12,9 @@ when the perturbed eigenvalues of distinct groups merge.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import ValueRecord
 from .codimension import bundle_codim, orbit_codim
 from .deformation import _deviation, _layout, _supplied, _with_base
 from .errors import EigenvalueCollision, SizeMismatch
@@ -34,18 +34,20 @@ class ClosureReason(Enum):
     CODIM_BLOCKS = "codim-blocks"
 
 
-@dataclass(frozen=True)
-class ClosureVerdict:
+class ClosureVerdict(ValueRecord):
     """Outcome of the codimension necessary condition.
 
     ``possible=False`` always comes with ``reason=CODIM_BLOCKS``; a positive
     verdict never claims sufficiency.
     """
 
-    possible: bool
-    reason: ClosureReason
-    source_codim: int
-    target_codim: int
+    __match_args__ = ("possible", "reason", "source_codim", "target_codim")
+
+    def __init__(self, possible, reason, source_codim, target_codim):
+        object.__setattr__(self, "possible", possible)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "source_codim", source_codim)
+        object.__setattr__(self, "target_codim", target_codim)
 
 
 def _partition_multiset(structure):

@@ -60,9 +60,11 @@ def orbit_codim_oracle(structure):
     Raises
     ------
     ValueError
-        If the total size exceeds ``MAX_ORACLE_ORDER``, or if the difference
+        If the total size exceeds ``MAX_ORACLE_ORDER``; if the difference
         of two eigenvalues overflows, which no piece's singular values
-        could represent.
+        could represent; or if two eigenvalues lie so close that their
+        piece, nonsingular by Sylvester's theorem, ranks below its order,
+        which would read a nullity above the true one.
     """
     n = structure.total_size
     if n > MAX_ORACLE_ORDER:
@@ -80,8 +82,16 @@ def _nullity(blocks):
         for eig_h, sizes_h in blocks[g + 1:]:
             # the (h, g) piece is the (g, h) piece transposed, negated and
             # permuted, so it has the same singular values
-            rank += 2 * _rank(np.linalg.svd(_cross_piece(eig_g, sizes_g, eig_h, sizes_h),
-                                            compute_uv=False))
+            singular = np.linalg.svd(_cross_piece(eig_g, sizes_g, eig_h, sizes_h),
+                                     compute_uv=False)
+            # two groups with different eigenvalues have a nonsingular piece
+            # (Sylvester's theorem); a rank below its order is a misreading
+            if _rank(singular) < singular.size:
+                raise ValueError(
+                    f"eigenvalues {eig_g} and {eig_h} lie {abs(eig_h - eig_g):.3e} "
+                    "apart, too close for the commutator-nullity oracle: their "
+                    "piece, nonsingular in exact arithmetic, reads rank-deficient")
+            rank += 2 * singular.size
     return n * n - rank
 
 

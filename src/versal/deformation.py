@@ -26,10 +26,10 @@ similarity.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 
 from ._numpy import np
+from ._record import Record, ValueRecord
 from .errors import MissingParameter, PivotBreakdown
 from .jordan import _base_diagonal, _block_starts, _integer, _nilpotent
 from .linalg import as_matrix
@@ -44,25 +44,26 @@ class Shape(Enum):
     ALTERNATE = "alternate"
 
 
-@dataclass(frozen=True)
-class DeformationPattern:
+class DeformationPattern(ValueRecord):
     """Star pattern of a miniversal deformation over ``base``.
 
     ``stars`` is a tuple of ``(row, col, parameter)`` triples with 1-based
     indices; several stars may share a parameter (Alternate shape only).
     """
 
-    base: object
-    shape: Shape
-    stars: tuple
+    __match_args__ = ("base", "shape", "stars")
+
+    def __init__(self, base, shape, stars):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "stars", stars)
 
     @property
     def parameter_count(self):
         return len({param for _, _, param in self.stars})
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionResult:
+class ReductionResult(Record):
     """Outcome of a single-block reduction.
 
     ``transform`` is the accumulated similarity ``S`` with
@@ -70,8 +71,11 @@ class ReductionResult:
     input perturbations.
     """
 
-    deformed: np.ndarray
-    transform: np.ndarray
+    __match_args__ = ("deformed", "transform")
+
+    def __init__(self, deformed, transform):
+        object.__setattr__(self, "deformed", deformed)
+        object.__setattr__(self, "transform", transform)
 
 
 def _arnold_group(sizes, starts, param):

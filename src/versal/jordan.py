@@ -8,13 +8,12 @@ using eigenvalue clustering followed by rank counts of shifted powers.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import ValueRecord
 from .errors import EigenvalueCollision, InconsistentRanks
 from .linalg import as_matrix, eigenvalues
 
@@ -41,7 +40,7 @@ def _validated_blocks(blocks, partitions=False):
     normalized = []
     for eig, sizes in blocks:
         eig = complex(eig)
-        if not cmath.isfinite(eig):
+        if not (math.isfinite(eig.real) and math.isfinite(eig.imag)):
             raise ValueError(f"eigenvalues must be finite, got {eig}")
         if not partitions:
             sizes = tuple(_integer(k, "block sizes") for k in sizes)
@@ -60,8 +59,7 @@ def _validated_blocks(blocks, partitions=False):
     return tuple(normalized)
 
 
-@dataclass(frozen=True)
-class SegreStructure:
+class SegreStructure(ValueRecord):
     """Jordan type: ``blocks`` is a tuple of ``(eigenvalue, sizes)`` pairs.
 
     Eigenvalues are finite and pairwise distinct, and each ``sizes`` tuple is
@@ -69,7 +67,7 @@ class SegreStructure:
     integers; anything else raises ``ValueError``.
     """
 
-    blocks: tuple
+    __match_args__ = ("blocks",)
 
     def __init__(self, blocks):
         object.__setattr__(self, "blocks", _validated_blocks(blocks))

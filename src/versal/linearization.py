@@ -26,9 +26,8 @@ no rank cutoff.  A sweep costs ``O(d (dn)^3)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._numpy import np
+from ._record import Record
 from .errors import (DimensionMismatch, MaxIterationsExceeded, SingularMatrix,
                      SingularTransform, StagnationDetected)
 from .linalg import _gated_solve, as_matrix, check_order
@@ -37,15 +36,14 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 50
 
 
-@dataclass(frozen=True, eq=False)
-class MonicPolynomial:
+class MonicPolynomial(Record):
     """``x^d * I + A_{d-1} x^{d-1} + ... + A_1 x + A_0`` with square ``A_j``.
 
     ``coefficients`` holds ``(A_0, ..., A_{d-1})`` in ascending power order;
     the leading coefficient is implicitly the identity.
     """
 
-    coefficients: tuple
+    __match_args__ = ("coefficients",)
 
     def __init__(self, coefficients):
         coeffs = tuple(as_matrix(c) for c in coefficients)
@@ -58,6 +56,14 @@ class MonicPolynomial:
                     f"all coefficients must be {n}x{n}, got {c.shape}")
         object.__setattr__(self, "coefficients", coeffs)
 
+    @classmethod
+    def _from_parts(cls, coefficients):
+        # for a tuple of equally shaped, finite complex matrices, such as the
+        # blocks that recover cuts from its own result
+        out = object.__new__(cls)
+        object.__setattr__(out, "coefficients", coefficients)
+        return out
+
     @property
     def degree(self):
         return len(self.coefficients)
@@ -67,8 +73,7 @@ class MonicPolynomial:
         return self.coefficients[0].shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class RecoveryResult:
+class RecoveryResult(Record):
     """Outcome of :func:`recover`.
 
     ``residual_trace`` lists the unstructured norm of
@@ -78,11 +83,16 @@ class RecoveryResult:
     returned transform, which is the last entry of ``residual_trace``.
     """
 
-    recovered: MonicPolynomial
-    transform: np.ndarray
-    iterations: int
-    residual_trace: tuple
-    similarity_residual: float
+    __match_args__ = ("recovered", "transform", "iterations", "residual_trace",
+                      "similarity_residual")
+
+    def __init__(self, recovered, transform, iterations, residual_trace,
+                 similarity_residual):
+        object.__setattr__(self, "recovered", recovered)
+        object.__setattr__(self, "transform", transform)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "residual_trace", residual_trace)
+        object.__setattr__(self, "similarity_residual", similarity_residual)
 
 
 def companion(poly):
@@ -242,8 +252,8 @@ def recover(poly, perturbation, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     # m is companion(recovered) exactly, so the similarity residual
     # ||S^-1 (C + E) S - m||_F is the last residual
     top = -m[:n]
-    recovered = MonicPolynomial(top[:, k * n:(k + 1) * n]
-                                for k in range(d - 1, -1, -1))
+    recovered = MonicPolynomial._from_parts(tuple(top[:, k * n:(k + 1) * n]
+                                                  for k in range(d - 1, -1, -1)))
     return RecoveryResult(recovered=recovered, transform=s,
                           iterations=iterations, residual_trace=tuple(trace),
                           similarity_residual=residual)

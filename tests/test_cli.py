@@ -48,6 +48,14 @@ def test_import_pulls_in_no_scipy():
     assert run_fresh(code).strip() == "[]"
 
 
+def test_import_pulls_in_no_dataclasses():
+    # dataclasses imports inspect, and with it ast, dis and tokenize: most
+    # of what versal's own modules added to every command's start-up
+    code = ("import sys, versal, versal.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules))")
+    assert run_fresh(code).strip() == "[]"
+
+
 # runs main on each argv list given as JSON, then prints the numpy modules
 # loaded; it reads sys.modules keys only, since any attribute of versal's
 # numpy stand-in would import numpy
@@ -164,6 +172,17 @@ class TestCodimCommand:
         captured = capsys.readouterr()
         assert "oracle=" not in captured.out
         assert "overflows" in captured.err
+        assert "disagrees" not in captured.err
+
+    def test_oracle_close_eigenvalues_exit_2(self, tmp_path, capsys):
+        # the cross piece's singular values are about 1 and 1e-10, under the
+        # cutoff: the oracle read 5 against the formula's 3 and the command
+        # exited 1 on a correct count; it now refuses to count
+        path = write_segre(tmp_path, [(0.0, [2]), (1e-5, [1])])
+        assert main(["codim", path, "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert "codim=3" in captured.out and "oracle=" not in captured.out
+        assert "1.000e-05 apart" in captured.err
         assert "disagrees" not in captured.err
 
     @pytest.mark.parametrize("gap", [1e11, 1e13])

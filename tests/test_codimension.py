@@ -120,7 +120,8 @@ class TestOracle:
         (1j, -1.0 - 1.0j, 2.0 + 0.5j),
         # groups 1e-11 apart: a piece coupling a block of size 2 or more
         # with another group has singular values of about 1 and some far
-        # below RANK_TOL times that, so both oracles exceed the formula
+        # below RANK_TOL times that, so the dense reference exceeds the
+        # formula and the oracle refuses to count
         (0.0, 1e-11, 2e-11),
         (1.0, 1.0 + 1e-11j, 1.0 - 1e-11),
         # groups 1e11 and more apart: each piece is ranked against its own
@@ -131,12 +132,13 @@ class TestOracle:
         near = abs(pool[1] - pool[0]) < 1e-9
         for n in range(1, 6):
             for s in structures_of_size(n, pool):
-                nullity = orbit_codim_oracle(s)
-                assert nullity == kron_commutator_nullity(s), s
                 if near and len(s.blocks) > 1 and max(map(max, s.partitions())) > 1:
-                    assert nullity > orbit_codim(s), s
+                    assert kron_commutator_nullity(s) > orbit_codim(s), s
+                    with pytest.raises(ValueError, match="too close"):
+                        orbit_codim_oracle(s)
                 else:
-                    assert nullity == orbit_codim(s), s
+                    assert orbit_codim_oracle(s) == kron_commutator_nullity(s), s
+                    assert orbit_codim_oracle(s) == orbit_codim(s), s
 
     def test_group_wise_matches_dense_kron_reference_random(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -146,7 +148,14 @@ class TestOracle:
                              database=None)
         @hypothesis.given(random_structures(hypothesis.strategies, eigenvalues, (2, 3)))
         def check(s):
-            assert orbit_codim_oracle(s) == kron_commutator_nullity(s)
+            try:
+                nullity = orbit_codim_oracle(s)
+            except ValueError:
+                # refused where a piece of distinct eigenvalues reads
+                # rank-deficient: there the dense reference overcounts
+                assert kron_commutator_nullity(s) > orbit_codim(s), s
+            else:
+                assert nullity == kron_commutator_nullity(s) == orbit_codim(s), s
 
         check()
 
@@ -164,6 +173,20 @@ class TestOracle:
 
     def test_far_apart_finite_difference_counts(self):
         assert orbit_codim_oracle(SegreStructure([(1e300, [1]), (-1e300, [1])])) == 2
+
+    @pytest.mark.parametrize("gap", [1e-5, 1e-6])
+    def test_close_groups_raise_instead_of_overcounting(self, gap):
+        # the cross piece's singular values are about 1 and gap**2, below
+        # RANK_TOL times 1 from a gap of 1e-5 on, where the oracle read 5;
+        # the piece of distinct eigenvalues is nonsingular, so it raises
+        s = SegreStructure([(0.0, [2]), (gap, [1])])
+        with pytest.raises(ValueError, match=f"0j and .*{gap:.3e} apart"):
+            orbit_codim_oracle(s)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4])
+    def test_close_groups_above_the_cutoff_count(self, gap):
+        s = SegreStructure([(0.0, [2]), (gap, [1])])
+        assert orbit_codim_oracle(s) == kron_commutator_nullity(s) == orbit_codim(s) == 3
 
     @pytest.mark.parametrize("gap", [1e10, 1e11, 1e13])
     def test_far_apart_groups_keep_their_pieces_ranks(self, gap):
