@@ -8,6 +8,8 @@ would, so ``match`` works the same) and sets them in its own ``__init__``
 with ``object.__setattr__``.
 """
 
+from operator import attrgetter
+
 
 class Record:
     """Immutable record, equal only to itself.
@@ -32,13 +34,20 @@ class Record:
 class ValueRecord(Record):
     """Immutable record compared and hashed by the tuple of its fields."""
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__match_args__)
+    def __init_subclass__(cls, **kwargs):
+        # one attrgetter per class reads the fields in C; a getter of one
+        # name returns the bare value, so that case is wrapped in a tuple
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__match_args__)
+        if len(cls.__match_args__) == 1:
+            cls._values = staticmethod(lambda record: (get(record),))
+        else:
+            cls._values = get
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))

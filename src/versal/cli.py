@@ -4,11 +4,18 @@ Subcommands: ``jcf``, ``codim``, ``pattern``, ``experiment``, ``recover``,
 ``reduce-block``.  Inputs and outputs are the JSON documents of
 :mod:`versal.files`; reports go to stdout, diagnostics to stderr, and the
 exit code is 0 exactly when every internal check passed.
+
+Run as a program (:func:`main` called without arguments), a command keeps
+the cyclic garbage collector off and freezes what it loaded before the
+interpreter shuts down, so no collection walks the objects of numpy and the
+standard library.  In-process callers pass their arguments and keep their
+collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from pathlib import Path
@@ -302,8 +309,31 @@ def _attach_lambda_values(argv):
 
 
 def main(argv=None):
+    """Run one ``versal`` command; return its exit code.
+
+    Called with ``argv`` (a list of arguments without the program name), it
+    runs that command and leaves the garbage collector as it found it.
+
+    Called without ``argv``, as the ``versal`` script and ``python -m
+    versal.cli`` do, it is the process's command and reads ``sys.argv``.
+    Then it owns the cyclic garbage collector: it disables it before
+    parsing and freezes every tracked object on every way out, argparse's
+    ``SystemExit`` included.  No collection runs during numpy's import,
+    and the interpreter's shutdown collections do not walk the objects that
+    numpy and the standard library loaded.  A command makes little cyclic
+    garbage and ends soon after, so nothing piles up.
+    """
+    if argv is not None:
+        return _run(argv)
+    gc.disable()
+    try:
+        return _run(sys.argv[1:])
+    finally:
+        gc.freeze()
+
+
+def _run(argv):
     parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_lambda_values(argv))
     try:
         return args.func(args)

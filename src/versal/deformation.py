@@ -215,6 +215,9 @@ def reduce_single_block(a, eigenvalue):
     PivotBreakdown
         If a working pivot modulus drops below ``PIVOT_TOL`` (the input is
         too far from the base block for this reduction).
+    ValueError
+        If the matrix is not square, or its entries overflow the similarity
+        updates.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -223,25 +226,33 @@ def reduce_single_block(a, eigenvalue):
     lam = complex(eigenvalue)
     eye = np.eye(k, dtype=complex)
 
-    b = a - lam * eye
-    s = eye.copy()
-    for p in range(k - 1):
-        pivot = b[p, p + 1]
-        if abs(pivot) < PIVOT_TOL:
-            raise PivotBreakdown(
-                f"pivot {p + 1} has modulus {abs(pivot):.3e} < {PIVOT_TOL:g}")
-        t = eye.copy()
-        t[p + 1, :] = -b[p, :] / pivot
-        t[p + 1, p + 1] = 1.0 / pivot
-        # the inverse of t is the identity with row p+1 replaced by row p of b
-        t_inv = eye.copy()
-        t_inv[p + 1, :] = b[p, :]
-        b = t_inv @ b @ t
-        s = s @ t
+    # entries far above the pivots' scale overflow the similarity updates;
+    # the errstate raises there instead of returning NaN
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            b = a - lam * eye
+            s = eye.copy()
+            for p in range(k - 1):
+                pivot = b[p, p + 1]
+                if abs(pivot) < PIVOT_TOL:
+                    raise PivotBreakdown(
+                        f"pivot {p + 1} has modulus {abs(pivot):.3e} < {PIVOT_TOL:g}")
+                t = eye.copy()
+                t[p + 1, :] = -b[p, :] / pivot
+                t[p + 1, p + 1] = 1.0 / pivot
+                # the inverse of t is the identity with row p+1 replaced by row p of b
+                t_inv = eye.copy()
+                t_inv[p + 1, :] = b[p, :]
+                b = t_inv @ b @ t
+                s = s @ t
 
-    # rows 1..k-1 are exact unit rows in exact arithmetic; drop the dust
-    for p in range(k - 1):
-        b[p, :] = 0.0
-        b[p, p + 1] = 1.0
+            # rows 1..k-1 are exact unit rows in exact arithmetic; drop the dust
+            for p in range(k - 1):
+                b[p, :] = 0.0
+                b[p, p + 1] = 1.0
 
-    return ReductionResult(deformed=b + lam * eye, transform=s)
+            deformed = b + lam * eye
+        except (FloatingPointError, OverflowError) as exc:
+            raise ValueError(
+                f"matrix entries overflow the single-block reduction: {exc}") from exc
+    return ReductionResult(deformed=deformed, transform=s)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -87,6 +88,63 @@ def test_numeric_commands_load_numpy(tmp_path, command):
     path = write_segre(tmp_path, [(0.0, [2, 1]), (1.5, [1])])
     argv = [arg.format(s=path, dir=tmp_path) for arg in command]
     assert "numpy" in numpy_modules_after([argv])
+
+
+# runs a command through main() as a program does, with sys.argv set, and
+# counts the collections that start from then on; the counts follow the
+# command's own output on one last line
+PROGRAM_MODE = """
+import gc, json, sys
+from versal import cli
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+sys.argv = ["versal", *sys.argv[1:]]
+code = cli.main()
+print(json.dumps({"code": code, "collections": len(starts),
+                  "enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+"""
+
+
+def test_program_mode_runs_no_collection(tmp_path, capsys):
+    # a command run as the process's program pays for no collection during
+    # numpy's import, and freezes what it loaded so that the interpreter's
+    # shutdown collections skip it; its output is that of main(argv)
+    path = write_segre(tmp_path, [(0.0, [2, 1]), (1.5, [1])])
+    argv = ["experiment", path, "--set", "1=1e-3", "--set", "4=2e-3"]
+    *output, last = run_fresh(PROGRAM_MODE, *argv).splitlines(keepends=True)
+    counts = json.loads(last)
+    assert counts["code"] == 0
+    assert counts["collections"] == 0
+    assert not counts["enabled"] and counts["frozen"] > 0
+    assert main(argv) == 0
+    assert "".join(output) == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("command, code", [
+    (["codim", "{s}"], 0),
+    (["experiment", "{merging}"], 1),
+    (["codim", "{missing}"], 2),
+    (["jcf", "--help"], SystemExit),
+    (["jcf"], SystemExit)])
+def test_argv_calls_leave_the_collector_alone(tmp_path, capsys, enabled, command, code):
+    merging = write_segre(tmp_path, [(0, [1]), (1e-7, [1])], name="merging.json")
+    argv = [arg.format(s=write_segre(tmp_path, [(0.0, [2, 1])]), merging=merging,
+                       missing=tmp_path / "missing.json") for arg in command]
+    was_enabled = gc.isenabled()
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
 
 
 def test_first_numeric_calls_from_threads():
@@ -483,6 +541,18 @@ class TestReduceBlockCommand:
         path = write_matrix(tmp_path, np.zeros((3, 3)))
         assert main(["reduce-block", path]) == 1
         assert "pivot" in capsys.readouterr().err
+
+    def test_overflow_exit_2_before_any_report(self, tmp_path, capsys):
+        # the overflow is the error, reported before any report line or file
+        path = write_matrix(tmp_path, np.full((3, 3), 1e300))
+        assert main(["reduce-block", path,
+                     "--out-deformed", str(tmp_path / "d.json"),
+                     "--out-transform", str(tmp_path / "t.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: matrix entries overflow the single-block "
+                                "reduction: overflow encountered in matmul\n")
+        assert not (tmp_path / "d.json").exists() and not (tmp_path / "t.json").exists()
 
 
 # the literals -0.0 and -2j have real part -0.0; 0.1-0j would add +0.0 to

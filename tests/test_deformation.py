@@ -250,3 +250,10 @@ class TestReduceSingleBlock:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             reduce_single_block(np.zeros((2, 3)), 0.0)
+
+    @pytest.mark.parametrize("k, scale", [(3, 1e300), (2, 1e200)])
+    def test_overflow_raises(self, k, scale):
+        # the similarity updates overflow to inf and then NaN: raise, never
+        # return NaN
+        with pytest.raises(ValueError, match="overflow the single-block reduction"):
+            reduce_single_block(np.full((k, k), scale), 0.0)
