@@ -211,8 +211,16 @@ def cmd_reduce_block(args):
     row[-1] -= lam
     print("deformation=" + " ".join(_format_complex(z) for z in row))
 
-    coeffs = _leverrier(a - lam * np.eye(k))
-    error = max(abs(row[j] + coeffs[j]) for j in range(k))
+    shifted = a - lam * np.eye(k)
+    errors = np.abs(row + _leverrier(shifted))
+    # coefficient j is homogeneous of degree k - j in the entries of
+    # a - lam*I, so its error is read relative to ||a - lam*I||_2**(k - j);
+    # dividing k - j times keeps the power from overflowing.  A zero a - lam*I
+    # has zero coefficients, whose errors are read as they are
+    sigma = float(np.linalg.norm(shifted, 2)) or 1.0
+    for j in range(k):
+        errors[:k - j] /= sigma
+    error = float(errors.max())
     ok = error <= CHARPOLY_CHECK_TOL
     print(f"charpoly_check={error:.6e} ({'PASS' if ok else 'FAIL'})")
 

@@ -112,19 +112,16 @@ def perturbation_experiment(structure, values,
 
     What an experiment reads depends only on the structure's partitions,
     the values and ``rank_tol``, not on its eigenvalues or on
-    ``cluster_tol``: the deviation blocks, each perturbed group's spectrum
-    and its single-linkage merge edges (the minimum spanning tree of the
-    spectrum under ``abs(a - b)``, whose edges within a radius join the
-    same clusters as all pairs within it), and each cluster's local mean,
-    Weyr sequence and partition.  The last experiment's reading is kept,
-    together with its last successful result.  An experiment that reads
-    the same partitions and values at the same ``rank_tol`` as the one
-    before it, such as the same structure relabeled or
-    :func:`transport_perturbation` right after an experiment, cuts the kept
-    edges at its own radius and runs no eigensolve and no rank SVD that the
-    earlier one ran; on the same structure at the same tolerances it
-    returns the kept result.  The inputs are validated on every call, and
-    the result is the same either way.
+    ``cluster_tol``: the deviation blocks, each perturbed group's spectrum,
+    and each cluster's local mean, Weyr sequence and partition.  The last
+    experiment's reading is kept, together with its last successful
+    result.  An experiment that reads the same partitions and values at
+    the same ``rank_tol`` as the one before it, such as the same structure
+    relabeled or :func:`transport_perturbation` right after an experiment,
+    clusters the kept spectra at its own radius and runs no eigensolve and
+    no rank SVD that the earlier one ran; on the same structure at the
+    same tolerances it returns the kept result.  The inputs are validated
+    on every call, and the result is the same either way.
 
     Raises
     ------
@@ -209,9 +206,8 @@ def transport_perturbation(structure, replacement_eigenvalues, values):
     matrices in one bundle react to it with the same partition multiset:
     the two results must agree up to eigenvalue values.  The second
     experiment reads the same partitions and values as the first, so it
-    reuses its eigensolves, merge edges and rank SVDs; the first returns
-    the kept result when the same experiment ran just before the
-    transport.
+    reuses its eigensolves and rank SVDs; the first returns the kept result
+    when the same experiment ran just before the transport.
 
     Raises
     ------

@@ -10,12 +10,8 @@ Kronecker matrix of the map: the Jordan matrix is block diagonal by
 eigenvalue group, so the map splits into one piece per ordered pair of
 groups.  Every piece is that of the nilpotent Jordan matrices of its two
 partitions plus the difference of their eigenvalues on the diagonal, and
-that difference is exactly zero for a group with itself.  So the singular
-values of a group's piece with itself are computed once per partition, and
-the eigenvalue-free piece of two groups once per pair of partitions; under
-``MAX_ORACLE_ORDER`` the 138 partitions and 938 pairs of them bound both
-caches.  The nullity itself is kept per structure, in a cache bounded by
-``_KEPT_NULLITIES``.
+that difference is exactly zero for a group with itself.  The nullity is
+kept per structure, in a cache bounded by ``_KEPT_NULLITIES``.
 """
 
 from __future__ import annotations
@@ -77,7 +73,11 @@ def _nullity(blocks):
     # keyed by validated blocks: equal eigenvalues that differ in the sign of
     # a zero part give the same pieces, since _cross_piece adds +0j first
     n = sum(sum(sizes) for _, sizes in blocks)
-    rank = sum(_rank(_self_singular_values(sizes)) for _, sizes in blocks)
+    # a group's piece with itself has lambda - lambda, exactly +0 for a finite
+    # lambda, on its diagonal: it is the nilpotent piece of its partition, bit
+    # for bit
+    rank = sum(_rank(np.linalg.svd(_commutator_piece(sizes, sizes), compute_uv=False))
+               for _, sizes in blocks)
     for g, (eig_g, sizes_g) in enumerate(blocks):
         for eig_h, sizes_h in blocks[g + 1:]:
             # the (h, g) piece is the (g, h) piece transposed, negated and
@@ -100,23 +100,6 @@ def _rank(singular):
     return int(np.count_nonzero(singular > RANK_TOL * singular[0]))
 
 
-@functools.cache
-def _self_singular_values(sizes):
-    # a group's piece with itself has lambda - lambda, exactly +0 for a finite
-    # lambda, on its diagonal: it is the nilpotent piece of its partition, bit
-    # for bit
-    s = np.linalg.svd(_commutator_piece(sizes, sizes), compute_uv=False)
-    s.flags.writeable = False
-    return s
-
-
-@functools.cache
-def _nilpotent_piece(sizes_g, sizes_h):
-    piece = _commutator_piece(sizes_g, sizes_h)
-    piece.flags.writeable = False
-    return piece
-
-
 def _cross_piece(eig_g, sizes_g, eig_h, sizes_h):
     # the piece of groups g < h of build_jcf, bit for bit: the nilpotent
     # piece with build_jcf's difference of diagonal entries on its diagonal,
@@ -125,11 +108,11 @@ def _cross_piece(eig_g, sizes_g, eig_h, sizes_h):
     if not math.isfinite(math.hypot(shift.real, shift.imag)):
         raise ValueError(f"the difference of eigenvalues {eig_h} and {eig_g} "
                          "overflows the commutator-nullity oracle")
-    piece = _nilpotent_piece(sizes_g, sizes_h)
+    piece = _commutator_piece(sizes_g, sizes_h)
     if shift.imag:
         piece = piece.astype(complex)
     else:
-        piece, shift = piece.copy(), shift.real
+        shift = shift.real
     piece.flat[::piece.shape[0] + 1] = shift
     return piece
 

@@ -157,35 +157,13 @@ def conjugate_partition(sizes):
     return tuple(sum(1 for k in sizes if k >= j) for j in range(1, max(sizes) + 1))
 
 
-def _merge_edges(values):
-    # Single-linkage merge edges of a spectrum: the n - 1 edges (weight, i, j)
-    # of a minimum spanning tree under the weight abs(values[i] - values[j]),
-    # by weight.  The tree's edges of weight <= r join the same values as all
-    # pairs within r do, so _cut of those edges gives the clusters at radius
-    # r; Python complex numbers give the same moduli as numpy's scalars,
-    # faster
-    values = values.tolist()
-    best = [abs(values[0] - value) for value in values]
-    link = [0] * len(values)
-    todo = list(range(1, len(values)))
-    edges = []
-    while todo:
-        j = min(todo, key=best.__getitem__)
-        todo.remove(j)
-        edges.append((best[j], link[j], j))
-        at = values[j]
-        for k in todo:
-            weight = abs(at - values[k])
-            if weight < best[k]:
-                best[k], link[k] = weight, j
-    edges.sort()
-    return edges
-
-
-def _cut(n, edges):
-    # the clusters of n values that the given merge edges join: tuples of
-    # member indices, in the order of their first members
-    parent = list(range(n))
+def _cluster(spectrum, radius):
+    # single-linkage clusters of a spectrum: every pair within the radius
+    # joins, and the clusters are tuples of member indices in the order of
+    # their first members; Python complex numbers give the same moduli as
+    # numpy's scalars, faster
+    values = spectrum.tolist()
+    parent = list(range(len(values)))
 
     def find(i):
         while parent[i] != i:
@@ -193,10 +171,12 @@ def _cut(n, edges):
             i = parent[i]
         return i
 
-    for _, i, j in edges:
-        parent[find(i)] = find(j)
+    for i, value in enumerate(values):
+        for j in range(i + 1, len(values)):
+            if abs(value - values[j]) <= radius:
+                parent[find(i)] = find(j)
     clusters = {}
-    for i in range(n):
+    for i in range(len(values)):
         clusters.setdefault(find(i), []).append(i)
     return tuple(tuple(members) for members in clusters.values())
 
@@ -251,19 +231,17 @@ def _check_tolerances(cluster_tol, rank_tol, names=("cluster_tol", "rank_tol")):
 class _Kept:
     """What _recover_groups reads off one set of blocks at one rank_tol.
 
-    Per group ``g``, ``spectra`` holds its spectrum and ``edges`` its merge
-    edges (see ``_merge_edges``); per ``(g, count)``, ``cuts`` holds the
-    clusters that its first ``count`` edges join; per cluster ``(g,
+    Per group ``g``, ``spectra`` holds its spectrum; per cluster ``(g,
     members)``, ``clusters`` holds its local mean, its Weyr sequence and the
     partition conjugate to it, or None where the sequence does not fit the
     cluster's multiplicity.  None of it depends on a labeling's eigenvalues
     or on ``cluster_tol``.
     """
 
-    __slots__ = ("spectra", "edges", "cuts", "clusters")
+    __slots__ = ("spectra", "clusters")
 
     def __init__(self):
-        self.spectra, self.edges, self.cuts, self.clusters = {}, {}, {}, {}
+        self.spectra, self.clusters = {}, {}
 
 
 def _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, kept):
@@ -275,7 +253,7 @@ def _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, kept):
     # and the whole matrix, whose Frobenius norm sets the clustering radius.
     # kept, a _Kept, is filled as its entries are computed, so a call on the
     # same blocks at the same rank_tol may pass an earlier call's and read
-    # them instead: it then cuts the kept merge edges at its own radius.  A
+    # them instead: it then clusters the kept spectra at its own radius.  A
     # cluster's eigenvalue is its base plus its local mean, rounded once.  A
     # partition, where given, says the block is exactly the nilpotent
     # Jordan matrix of that partition: eigvals returns its spectrum as exact
@@ -283,7 +261,7 @@ def _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, kept):
     # Entries far above the matrix's scale overflow the radius or the rank
     # cutoffs; the errstate raises there instead of computing on with inf
     bases, matrix = labeling
-    spectra, edges, cuts, clusters = kept.spectra, kept.edges, kept.cuts, kept.clusters
+    spectra, clusters = kept.spectra, kept.clusters
     with np.errstate(over="raise", invalid="raise"):
         try:
             radius = cluster_radius(matrix, cluster_tol)
@@ -307,13 +285,7 @@ def _recover_groups(deviation, groups, labeling, cluster_tol, rank_tol, kept):
                     blocks.append((_labeled(bases, g, 0j), partition))
                     continue
                 spectrum = spectra[g]
-                if g not in edges:
-                    edges[g] = _merge_edges(spectrum)
-                # the edges are sorted, so those within the radius lead
-                within = sum(weight <= radius for weight, _, _ in edges[g])
-                if (g, within) not in cuts:
-                    cuts[g, within] = _cut(len(spectrum), edges[g][:within])
-                for members in cuts[g, within]:
+                for members in _cluster(spectrum, radius):
                     key = (g, members)
                     if key not in clusters:
                         clusters[key] = _read_cluster(deviation[span, span], spectrum,

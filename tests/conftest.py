@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import sys
 
 # Pin BLAS to one thread before numpy loads it: the kernels here are tiny,
 # and threaded BLAS on a machine with few cores slows the suite down.
@@ -11,20 +12,42 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from versal import (SegreStructure, build_jcf, closure, codimension,  # noqa: E402
-                    numerical_rank)
+from versal import SegreStructure, build_jcf, numerical_rank  # noqa: E402
 from versal.jordan import _group_spans  # noqa: E402
+
+
+def memos():
+    """Every memo of the loaded ``versal`` modules, by qualified name.
+
+    A memo is a module attribute with a ``cache_clear`` method, as the
+    ``functools`` caches have.  They are found by scanning, so a new one is
+    counted without being named here; one that another module imports is
+    counted once, under the module that defines it.
+    """
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "versal":
+            continue
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                found[f"{value.__module__}.{value.__qualname__}"] = value
+    return found
+
+
+def clear_memos():
+    for memo in memos().values():
+        memo.cache_clear()
+
 
 @pytest.fixture(autouse=True)
 def no_kept_reading():
-    """Start every test without the reading of an earlier experiment.
+    """Start every test with every memo of versal empty.
 
     ``perturbation_experiment`` keeps its last reading and
     ``orbit_codim_oracle`` its recent nullities, so without this an
     eigensolve or SVD count would depend on the tests that ran before it.
     """
-    closure._reading.cache_clear()
-    codimension._nullity.cache_clear()
+    clear_memos()
 
 
 # Fixed eigenvalue pool, already in lexicographic (real, imag) order.
@@ -92,9 +115,9 @@ def kron_commutator_nullity(structure):
 def cluster(values, threshold):
     """Index lists of single-linkage clusters under the distance bound.
 
-    Reference for the cut of kept merge edges in ``jordan._recover_groups``:
-    every pair within the bound joins, clusters in the order of their first
-    members.
+    Reference for ``jordan._cluster``, which ``jordan._recover_groups``
+    clusters each perturbed group's spectrum with: every pair within the
+    bound joins, clusters in the order of their first members.
     """
     # Python complex numbers: the same moduli as the code under test
     values = np.asarray(values).tolist()

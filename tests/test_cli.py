@@ -12,7 +12,7 @@ import pytest
 
 import versal
 from conftest import EIGENVALUE_POOL, structures_of_size
-from versal import SegreStructure, build_jcf, codimension, files
+from versal import SegreStructure, build_jcf, codimension, deformation, files
 from versal.cli import _format_complex, main
 from versal.jordan import jordan_block
 
@@ -553,6 +553,50 @@ class TestReduceBlockCommand:
         assert captured.err == ("error: matrix entries overflow the single-block "
                                 "reduction: overflow encountered in matmul\n")
         assert not (tmp_path / "d.json").exists() and not (tmp_path / "t.json").exists()
+
+    @staticmethod
+    def charpoly_check(tmp_path, capsys, m, *options):
+        # exit code and the printed check value of reduce-block on m
+        path = write_matrix(tmp_path, np.asarray(m))
+        code = main(["reduce-block", path, *options,
+                     "--out-deformed", str(tmp_path / "d.json"),
+                     "--out-transform", str(tmp_path / "t.json")])
+        line = re.search(r"^charpoly_check=(\S+) \((PASS|FAIL)\)$",
+                         capsys.readouterr().out, re.M)
+        return code, float(line.group(1)), line.group(2)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 100.0, 1e20])
+    def test_charpoly_check_passes_off_unit_scale(self, tmp_path, capsys, scale):
+        # coefficient j is read relative to ||a - lam*I||_2**(k - j): the
+        # absolute error printed 6.3e-07 (FAIL) at scale 100 and 2.6e65 at
+        # 1e20 for correct reductions
+        m = np.random.default_rng(1).standard_normal((4, 4)) * scale
+        code, error, verdict = self.charpoly_check(tmp_path, capsys, m)
+        assert (code, verdict) == (0, "PASS")
+        assert error < 1e-14
+
+    def test_charpoly_check_of_a_zero_shift(self, tmp_path, capsys):
+        # a - lam*I = 0 leaves no scale to read the errors against
+        assert self.charpoly_check(tmp_path, capsys, [[2.0]], "--lambda", "2") == (
+            0, 0.0, "PASS")
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 100.0, 1e20])
+    def test_charpoly_check_catches_a_corrupted_coefficient(self, tmp_path, capsys,
+                                                            monkeypatch, scale):
+        # the constant coefficient off by 1e-8 relative reads 4.26e-10 at
+        # every scale; the absolute error passed it at scale 0.1 (5.1e-13)
+        reduce = deformation.reduce_single_block
+
+        def corrupted(a, eigenvalue):
+            result = reduce(a, eigenvalue)
+            result.deformed[-1, 0] *= 1 + 1e-8
+            return result
+
+        monkeypatch.setattr(deformation, "reduce_single_block", corrupted)
+        m = np.random.default_rng(1).standard_normal((4, 4)) * scale
+        code, error, verdict = self.charpoly_check(tmp_path, capsys, m)
+        assert (code, verdict) == (1, "FAIL")
+        assert 4.2e-10 < error < 4.3e-10
 
 
 # the literals -0.0 and -2j have real part -0.0; 0.1-0j would add +0.0 to

@@ -568,7 +568,7 @@ class TestKeptReading:
     @pytest.mark.parametrize("tol", [DEFAULT_CLUSTER_TOL, 0.0, 1e-3, 0.05, 0.5])
     def test_kept_clusters_match_a_fresh_run(self, tol, svds):
         # a relabeled structure, or the structure at another cluster_tol,
-        # cuts the kept merge edges at its own radius and reads the kept
+        # clusters the kept spectra at its own radius and reads the kept
         # means and partitions: the result of a run from scratch
         relabeled = SegreStructure([(-1j, [2, 1]), (5.0, [2]), (1e-3, [1])])
         for side in (self.STRUCTURE, relabeled):

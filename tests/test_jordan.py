@@ -242,16 +242,13 @@ class TestRecoverStructure:
                 recover_structure(m)
 
 
-class TestMergeEdgeCut:
-    # _recover_groups clusters a spectrum by cutting its kept merge edges at
-    # the radius; conftest.cluster, which joins every pair within it, is the
-    # reference
+class TestCluster:
+    # _recover_groups clusters each perturbed group's spectrum with
+    # _cluster; conftest.cluster, which joins every pair within the radius,
+    # is the reference
     @staticmethod
-    def cut_at(values, radius):
-        # as _recover_groups does: the sorted edges within the radius lead
-        edges = jordan._merge_edges(np.array(values, dtype=complex))
-        within = sum(weight <= radius for weight, _, _ in edges)
-        return edges, jordan._cut(len(values), edges[:within])
+    def cluster_at(values, radius):
+        return jordan._cluster(np.array(values, dtype=complex), radius)
 
     def test_matches_single_linkage(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -279,11 +276,7 @@ class TestMergeEdgeCut:
         @hypothesis.given(cases())
         def check(case):
             values, radius = case
-            edges, clusters = self.cut_at(values, radius)
-            assert len(edges) == len(values) - 1
-            assert edges == sorted(edges)
-            assert all(weight == abs(values[i] - values[j]) for weight, i, j in edges)
-            assert clusters == tuple(map(tuple, cluster(values, radius)))
+            assert self.cluster_at(values, radius) == tuple(map(tuple, cluster(values, radius)))
 
         check()
 
@@ -293,5 +286,5 @@ class TestMergeEdgeCut:
                                  (1e-7, ((0, 1, 2), (3,), (4, 5))),
                                  (2e-7, ((0, 1, 2, 3), (4, 5))),
                                  (1.0, ((0, 1, 2, 3, 4, 5),))]:
-            assert self.cut_at(values, radius)[1] == expected
+            assert self.cluster_at(values, radius) == expected
             assert tuple(map(tuple, cluster(values, radius))) == expected
