@@ -49,8 +49,18 @@ def as_matrix(values):
 
 
 def frobenius_norm(m):
-    """Square root of the sum of squared entry moduli."""
-    return float(np.linalg.norm(as_matrix(m)))
+    """Square root of the sum of squared entry moduli.
+
+    The entries are divided by the largest absolute real or imaginary part
+    first, so no square overflows or underflows: the result is infinite only
+    where the norm itself exceeds the float range.
+    """
+    m = as_matrix(m)
+    parts = np.abs(np.stack([m.real, m.imag]))
+    scale = float(parts.max())
+    if scale == 0.0:
+        return 0.0
+    return scale * float(np.linalg.norm(parts / scale))
 
 
 def solve_linear(a, b):

@@ -44,8 +44,9 @@ def no_kept_reading():
     """Start every test with every memo of versal empty.
 
     ``perturbation_experiment`` keeps its last reading and
-    ``orbit_codim_oracle`` its recent nullities, so without this an
-    eigensolve or SVD count would depend on the tests that ran before it.
+    ``orbit_codim_oracle`` the nullity of each partition it has counted, so
+    without this an eigensolve count or a memo's size would depend on the
+    tests that ran before it.
     """
     clear_memos()
 

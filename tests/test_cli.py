@@ -73,20 +73,24 @@ def numpy_modules_after(argvs):
 
 
 def test_combinatorial_commands_leave_numpy_unloaded(tmp_path):
-    # codimensions, star patterns and the Jordan matrix's rows need no
-    # floating point, so these commands start without numpy's import time
+    # codimensions, the commutator nullity, star patterns and the Jordan
+    # matrix's rows need no floating point, so these commands start without
+    # numpy's import time
     path = write_segre(tmp_path, [(0.0, [2, 1]), (1.5, [1])])
     pure = [["pattern", path, "--out", str(tmp_path / "p.json")],
-            ["codim", path], ["codim", path, "--mode", "bundle"], ["jcf", path]]
+            ["codim", path], ["codim", path, "--mode", "bundle"],
+            ["codim", path, "--oracle"], ["jcf", path]]
     assert numpy_modules_after(pure) == []
 
 
 @pytest.mark.parametrize("command", [
-    ["codim", "{s}", "--oracle"], ["jcf", "{s}", "--out", "{dir}/j.json"],
-    ["experiment", "{s}", "--set", "1=1e-3"]])
+    ["jcf", "{s}", "--out", "{dir}/j.json"], ["experiment", "{s}", "--set", "1=1e-3"],
+    ["recover", "{poly}", "--random-seed", "1", "--out-poly", "{dir}/r.json",
+     "--out-transform", "{dir}/t.json"]])
 def test_numeric_commands_load_numpy(tmp_path, command):
     path = write_segre(tmp_path, [(0.0, [2, 1]), (1.5, [1])])
-    argv = [arg.format(s=path, dir=tmp_path) for arg in command]
+    argv = [arg.format(s=path, dir=tmp_path, poly=FIXTURES / "poly_d2n2.json")
+            for arg in command]
     assert "numpy" in numpy_modules_after([argv])
 
 
@@ -180,8 +184,8 @@ print(json.dumps({"results": results, "errors": errors, "holders": holders,
     assert out["errors"] == []
     assert out["results"] == [repr(SegreStructure([(1.0, [2])]))] * 8
     assert out["holders"] == dict.fromkeys(
-        ["versal._numpy", "versal.cli", "versal.codimension", "versal.deformation",
-         "versal.files", "versal.jordan", "versal.linalg", "versal.linearization"],
+        ["versal._numpy", "versal.cli", "versal.deformation", "versal.files",
+         "versal.jordan", "versal.linalg", "versal.linearization"],
         True)
 
 
@@ -223,25 +227,24 @@ class TestCodimCommand:
         assert "commutator nullity disagrees" in captured.err
 
     def test_oracle_overflow_exit_2(self, tmp_path, capsys):
-        # the difference of the two eigenvalues overflows; the oracle raises
-        # instead of returning a nullity that disagrees with the pattern count
+        # the difference of the two eigenvalues overflows, which a float
+        # piece could not rank; the exact count needs no difference
         path = write_segre(tmp_path, [(1e308, [1]), (-1e308, [1])])
-        assert main(["codim", path, "--oracle"]) == 2
+        assert main(["codim", path, "--oracle"]) == 0
         captured = capsys.readouterr()
-        assert "oracle=" not in captured.out
-        assert "overflows" in captured.err
-        assert "disagrees" not in captured.err
+        assert "oracle=2" in captured.out and "oracle_agrees=yes" in captured.out
+        assert captured.err == ""
 
     def test_oracle_close_eigenvalues_exit_2(self, tmp_path, capsys):
-        # the cross piece's singular values are about 1 and 1e-10, under the
-        # cutoff: the oracle read 5 against the formula's 3 and the command
-        # exited 1 on a correct count; it now refuses to count
+        # the float cross piece's singular values are about 1 and 1e-10,
+        # under a rank cutoff, but the piece of distinct eigenvalues is
+        # nonsingular whatever their gap, and the exact count says so
         path = write_segre(tmp_path, [(0.0, [2]), (1e-5, [1])])
-        assert main(["codim", path, "--oracle"]) == 2
+        assert main(["codim", path, "--oracle"]) == 0
         captured = capsys.readouterr()
-        assert "codim=3" in captured.out and "oracle=" not in captured.out
-        assert "1.000e-05 apart" in captured.err
-        assert "disagrees" not in captured.err
+        assert "codim=3" in captured.out and "oracle=3" in captured.out
+        assert "oracle_agrees=yes" in captured.out
+        assert captured.err == ""
 
     @pytest.mark.parametrize("gap", [1e11, 1e13])
     def test_oracle_far_apart_eigenvalues_agree(self, tmp_path, capsys, gap):
@@ -421,6 +424,21 @@ class TestRecoverCommand:
         residuals = [float(line.split("=")[1]) for line in out.splitlines()
                      if line.startswith("residual[")]
         assert residuals == sorted(residuals, reverse=True)
+
+    def test_check_scale_of_a_huge_coefficient(self, tmp_path, capsys):
+        # squaring an entry of 1e300 for ||C + E||_F overflowed, which made
+        # the similarity check's scale infinite and put numpy's overflow
+        # warning on stderr
+        poly = tmp_path / "big.json"
+        files.save_document(poly, {"kind": "polynomial", "degree": 1, "size": 2,
+                                   "coefficients": [[[1e300, 0.0], [0.0, 0.0],
+                                                     [0.0, 0.0], [1.0, 0.0]]]})
+        assert main(["recover", str(poly), "--random-seed", "1",
+                     "--out-poly", str(tmp_path / "rec.json"),
+                     "--out-transform", str(tmp_path / "s.json")]) == 0
+        captured = capsys.readouterr()
+        assert "similarity_residual=0.000000e+00 (PASS)" in captured.out
+        assert captured.err == ""
 
     def test_iteration_budget_exhausted_exit_1(self, tmp_path, capsys):
         poly = str(FIXTURES / "poly_d2n2.json")

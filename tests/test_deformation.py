@@ -102,6 +102,78 @@ class TestPatternCounts:
                 assert owner_row == owner_col
 
 
+# a Mersenne prime: a rank modulo it is at most the rational rank
+VERSALITY_PRIME = 2 ** 61 - 1
+
+
+def _add_row(basis, row):
+    # reduce a sparse row {column: value} modulo VERSALITY_PRIME against an
+    # echelon basis {leading column: row with a 1 there}; keep it and return
+    # True if it is independent of the basis
+    row = {col: value % VERSALITY_PRIME for col, value in row.items()}
+    row = {col: value for col, value in row.items() if value}
+    while row:
+        lead = min(row)
+        if lead not in basis:
+            inverse = pow(row[lead], -1, VERSALITY_PRIME)
+            basis[lead] = {col: value * inverse % VERSALITY_PRIME
+                           for col, value in row.items()}
+            return True
+        factor = row[lead]
+        for col, value in basis[lead].items():
+            row[col] = (row.get(col, 0) - factor * value) % VERSALITY_PRIME
+            if not row[col]:
+                del row[col]
+    return False
+
+
+def _tangent_basis(structure):
+    # echelon basis of the rows vec(E_ab@J - J@E_ab), J = build_jcf: E_ab@J
+    # has row b of J in row a, J@E_ab has column a of J in column b
+    n = structure.total_size
+    j = build_jcf(structure).real.astype(int).tolist()
+    basis = {}
+    for a in range(n):
+        for b in range(n):
+            image = {}
+            for c in range(n):
+                image[a * n + c] = image.get(a * n + c, 0) + j[b][c]
+                image[c * n + b] = image.get(c * n + b, 0) - j[c][a]
+            _add_row(basis, image)
+    return basis
+
+
+def _directions(pattern):
+    # per parameter, vec of the sum of its stars
+    n = pattern.base.total_size
+    directions = {}
+    for row, col, param in pattern.stars:
+        directions.setdefault(param, {})[(row - 1) * n + col - 1] = 1
+    return [directions[k] for k in sorted(directions)]
+
+
+class TestVersality:
+    def test_patterns_span_a_complement_of_the_tangent_space(self):
+        # Arnold (1971): J + sum p_k D_k is versal iff the directions D_k and
+        # the tangent space {X@J - J@X} of J's orbit span all n x n
+        # matrices.  The tangent rows alone have rank n^2 - codim, so with
+        # every parameter the rank is n^2 and with one dropped it is n^2 - 1
+        for n in range(1, 8):
+            for s in structures_of_size(n, (0, 1, -1)):
+                tangent = _tangent_basis(s)
+                assert len(tangent) == n * n - orbit_codim(s), s
+                for pattern in (arnold_pattern(s), alternate_pattern(s)):
+                    directions = _directions(pattern)
+                    spanned = dict(tangent)
+                    for row in directions:
+                        _add_row(spanned, row)
+                    assert len(spanned) == n * n, (s, pattern.shape)
+                    dropped = dict(tangent)
+                    for row in directions[1:]:
+                        _add_row(dropped, row)
+                    assert len(dropped) == n * n - 1, (s, pattern.shape)
+
+
 class TestLayouts:
     def test_pattern_base_is_the_callers_structure(self):
         s = SegreStructure([(0.0, [2, 1]), (1.0, [2])])

@@ -45,6 +45,12 @@ class TestFrobeniusNorm:
     def test_three_four_five(self):
         assert frobenius_norm([[3.0, 4.0]]) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-200])
+    def test_no_overflow_or_underflow(self, scale):
+        # the squares of these entries leave the float range
+        m = scale * np.array([[3.0, 4.0j], [0.0, -12.0]])
+        assert frobenius_norm(m) == pytest.approx(13.0 * scale, rel=1e-15, abs=0)
+
     def test_submultiplicative(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
